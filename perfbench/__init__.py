@@ -1,0 +1,2 @@
+"""The repository benchmark: seeded workloads, end-to-end metrics and a
+traced per-layer breakdown.  Run ``python3 perfbench/run.py --help``."""
