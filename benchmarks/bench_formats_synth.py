@@ -18,17 +18,27 @@ from repro.synth.network import make_network
 
 RNG = np.random.default_rng(99)
 VALUES_20K = RNG.normal(size=20_000)
+#: The largest EV-NOV18 file holds 35,000 points per component.
+VALUES_35K = RNG.normal(size=35_000)
+#: Three-digit exponents fill all 15 characters of a field.
+VALUES_35K_E3 = RNG.normal(size=35_000) * 1e-200
+
+BLOCKS = {"20k": VALUES_20K, "35k": VALUES_35K, "35k-e3": VALUES_35K_E3}
 
 
-def test_bench_fixed_block_format(benchmark):
-    text = benchmark(format_fixed_block, VALUES_20K)
-    assert len(text) > 0
+@pytest.mark.parametrize("block", sorted(BLOCKS))
+def test_bench_fixed_block_format(benchmark, block):
+    values = BLOCKS[block]
+    text = benchmark(format_fixed_block, values)
+    assert len(text) == 15 * values.size + len(values) // 5
 
 
-def test_bench_fixed_block_parse(benchmark):
-    lines = format_fixed_block(VALUES_20K).splitlines()
-    parsed = benchmark(parse_fixed_block, lines, len(VALUES_20K))
-    assert parsed.shape == VALUES_20K.shape
+@pytest.mark.parametrize("block", sorted(BLOCKS))
+def test_bench_fixed_block_parse(benchmark, block):
+    values = BLOCKS[block]
+    lines = format_fixed_block(values).splitlines()
+    parsed = benchmark(parse_fixed_block, lines, len(values))
+    assert parsed.shape == values.shape
 
 
 @pytest.fixture(scope="module")

@@ -29,6 +29,7 @@ COMPONENT_NAMES: dict[str, str] = {
 _FIELD_WIDTH = 15
 _PER_LINE = 5
 _FMT = "%15.7E"
+_LINE_FMT = _FMT * _PER_LINE + "\n"
 
 #: :func:`repro.observability.metrics.record_points`, bound lazily —
 #: the formats package is a leaf the observability package sits above.
@@ -50,23 +51,43 @@ def count_points(npts: int, process: str | None = None) -> None:
 
 
 def format_fixed_block(values: np.ndarray) -> str:
-    """Render a 1-D array as fixed-width E15.7 lines, 5 values per line."""
+    """Render a 1-D array as fixed-width E15.7 lines, 5 values per line.
+
+    The whole block is one ``%`` over a template of ``%15.7E`` fields,
+    so every value goes through the same conversion as a per-value loop
+    and the bytes are identical to it.
+    """
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
         return ""
-    lines = []
-    for start in range(0, values.size, _PER_LINE):
-        chunk = values[start : start + _PER_LINE]
-        lines.append("".join(_FMT % v for v in chunk))
-    return "\n".join(lines) + "\n"
+    full, rest = divmod(values.size, _PER_LINE)
+    template = _LINE_FMT * full
+    if rest:
+        template += _FMT * rest + "\n"
+    return template % tuple(values.tolist())
 
 
 def parse_fixed_block(lines: list[str], count: int, *, path: str = "<memory>") -> np.ndarray:
     """Parse ``count`` fixed-width values from consumed text lines.
 
     ``lines`` must contain exactly the lines of one block (as produced
-    by :func:`format_fixed_block`).
+    by :func:`format_fixed_block`).  A block whose lines are whole
+    15-character fields, ``count`` of them, in ASCII without NUL bytes
+    is cast in one numpy call (numpy's bytes-to-float cast follows
+    ``float()``; NUL is excluded because numpy drops trailing NULs).
+    Anything else, and any field the cast rejects, goes through the
+    per-field loop, which skips blank fields and names the bad one.
     """
+    text = "".join(lines)
+    if (
+        len(text) == count * _FIELD_WIDTH
+        and not any(n % _FIELD_WIDTH for n in set(map(len, lines)))
+        and "\x00" not in text
+    ):
+        try:
+            return np.frombuffer(text.encode("ascii"), dtype=f"S{_FIELD_WIDTH}").astype(float)
+        except (UnicodeEncodeError, ValueError):
+            pass
     values: list[float] = []
     for line in lines:
         line = line.rstrip("\n")

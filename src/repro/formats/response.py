@@ -119,6 +119,11 @@ def read_response(path: Path | str, *, process: str | None = None) -> ResponseRe
             key = f"{name}{d_idx}"
             if key not in blocks:
                 raise DataBlockError(f"{path}: missing block {key}")
+            if blocks[key].shape[0] != periods.shape[0]:
+                raise DataBlockError(
+                    f"{path}: block {key} has {blocks[key].shape[0]} values, "
+                    f"expected {periods.shape[0]} (one per PERIOD)"
+                )
             rows.append(blocks[key])
         arrays[name] = np.vstack(rows)
     return ResponseRecord(

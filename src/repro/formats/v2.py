@@ -142,12 +142,16 @@ def _parse_v2_header(
     the index refers to the original ``lines`` list.
     """
     # PEAKS/FILTER appear between the banner fields and DATA; the generic
-    # header parser rejects them, so pre-extract those lines.
+    # header parser rejects them, so pre-extract those lines.  The scan
+    # stops at DATA: the data lines follow unchanged.
     peaks_line = None
     filter_line = None
     cleaned: list[str] = []
-    for line in lines:
+    for k, line in enumerate(lines):
         stripped = line.strip()
+        if stripped == "DATA":
+            cleaned.extend(lines[k:])
+            break
         if stripped.startswith("PEAKS:"):
             peaks_line = stripped
         elif stripped.startswith("FILTER:"):

@@ -14,6 +14,85 @@ from repro.formats.common import (
 )
 
 
+def reference_format_fixed_block(values: np.ndarray) -> str:
+    """The per-value formatter, the oracle for ``format_fixed_block``."""
+    values = np.asarray(values, dtype=float).ravel()
+    if values.size == 0:
+        return ""
+    lines = []
+    for start in range(0, values.size, 5):
+        chunk = values[start : start + 5]
+        lines.append("".join("%15.7E" % v for v in chunk))
+    return "\n".join(lines) + "\n"
+
+
+def reference_parse_fixed_block(
+    lines: list[str], count: int, *, path: str = "<memory>"
+) -> np.ndarray:
+    """The per-field parser, the oracle for ``parse_fixed_block``."""
+    values: list[float] = []
+    for line in lines:
+        line = line.rstrip("\n")
+        for start in range(0, len(line), 15):
+            fieldtxt = line[start : start + 15].strip()
+            if not fieldtxt:
+                continue
+            try:
+                values.append(float(fieldtxt))
+            except ValueError as exc:
+                raise DataBlockError(f"{path}: bad numeric field {fieldtxt!r}") from exc
+    if len(values) != count:
+        raise DataBlockError(f"{path}: expected {count} values, found {len(values)}")
+    return np.asarray(values, dtype=float)
+
+
+def parse_outcome(parse, lines: list[str], count: int):
+    """``("ok", int64 bit patterns)`` or ``("error", message)`` of one parse."""
+    try:
+        return "ok", parse(lines, count, path="blk").view(np.int64).tolist()
+    except DataBlockError as exc:
+        return "error", str(exc)
+
+
+class TestAgainstReference:
+    EDGE_VALUES = np.array(
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, -1.0e-200, 1.0e200,
+         -9.99999995e99, 1.7976931348623157e308, 123.456, -1.0, 1e-7]
+    )
+
+    def test_edge_values_match_reference(self):
+        text = format_fixed_block(self.EDGE_VALUES)
+        assert text == reference_format_fixed_block(self.EDGE_VALUES)
+        # A three-digit exponent fills the whole field: no leading space.
+        assert "-1.0000000E-200" in text
+        lines = text.splitlines()
+        n = len(self.EDGE_VALUES)
+        assert parse_outcome(parse_fixed_block, lines, n) == parse_outcome(
+            reference_parse_fixed_block, lines, n
+        )
+
+    @pytest.mark.parametrize(
+        "lines, count",
+        [
+            (["  1.0000000E+00               2.0000000E+00"], 2),  # blank field skipped
+            (["  1.0000000E+00   garbage_data"], 2),
+            (["  1.0000000E+00", "  2.0000000E"], 2),  # ragged last line
+            (["  1.0000000E+00  2.0"], 2),
+            (["  1.0000000E+00  2.000000é+00"], 2),  # non-ASCII
+            (["1.0\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"], 1),  # NUL padding
+            (["  1.0000000E+00\n", "  2.0000000E+00\n"], 2),  # kept newlines
+            (["  1.0000000E+00  2.0000000E+00"], 1),  # too many
+            (["  1.0000000E+00  2.0000000E+00"], 3),  # too few
+            # float() grammar: underscores, signed NaN, tab padding
+            (["            1_0           -NaN\t\t\t\t\t\t\t\t\t\t\t\t\t1."], 3),
+        ],
+    )
+    def test_malformed_blocks_match_reference(self, lines, count):
+        assert parse_outcome(parse_fixed_block, lines, count) == parse_outcome(
+            reference_parse_fixed_block, lines, count
+        )
+
+
 class TestFixedBlocks:
     def test_roundtrip(self, rng):
         values = rng.normal(size=37) * 1e3

@@ -124,6 +124,19 @@ class TestResponseFormat:
         with pytest.raises(DataBlockError):
             read_response(path)
 
+    def test_short_damping_block_rejected(self, tmp_path, rng):
+        # SA1 with 6 values against 7 periods: the rows cannot be
+        # stacked, which must surface as a typed error naming the block.
+        path = tmp_path / "short.r"
+        write_response(path, make_response(rng, n_periods=7, n_damp=2))
+        lines = path.read_text().splitlines()
+        at = lines.index("SERIES-BLOCK: SA1 7")
+        lines[at] = "SERIES-BLOCK: SA1 6"
+        lines[at + 2] = lines[at + 2][:15]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataBlockError, match="SA1 has 6 values, expected 7"):
+            read_response(path)
+
     def test_single_damping(self, tmp_path, rng):
         record = make_response(rng, n_damp=1)
         path = tmp_path / "y.r"

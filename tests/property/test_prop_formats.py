@@ -11,6 +11,11 @@ from repro.formats.common import COMPONENTS, Header, format_fixed_block, parse_f
 from repro.formats.gem import GemSeries, read_gem, write_gem
 from repro.formats.v1 import RawRecord, read_v1, write_v1
 from repro.formats.v2 import CorrectedRecord, read_v2, write_v2
+from tests.formats.test_common import (
+    parse_outcome,
+    reference_format_fixed_block,
+    reference_parse_fixed_block,
+)
 
 # E15.7 fields carry ~7 significant digits; values are drawn within the
 # format's representable range.
@@ -39,6 +44,77 @@ class TestFixedBlockProperties:
         text = format_fixed_block(values)
         parsed = parse_fixed_block(text.splitlines(), len(values))
         assert_close_e15(parsed, values)
+
+
+# Every float64, and the values at the edges of the E15.7 field.
+any_float64 = st.one_of(
+    st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, -1.0e-200, 9.99999995e99, -1e300]),
+)
+
+# Characters a damaged or hand-edited block may hold: numerals, float
+# grammar, whitespace Python's str.strip() knows and bytes it does not,
+# NUL, and non-ASCII digits and letters.
+damaged_chars = st.sampled_from(list("0123456789.eE+-_ nainfNAI\t\n\x0b\x0c\x1c\x00xé١"))
+damaged_field = st.text(alphabet=damaged_chars, min_size=15, max_size=15)
+# A short numeral padded to the field width with a filler character.
+padded_field = st.builds(
+    lambda v, fill, left: ("%.4g" % v).ljust(15, fill) if left else ("%.4g" % v).rjust(15, fill),
+    any_float64,
+    st.sampled_from([" ", "\t", "\x0b", "\x1c", "\x00"]),
+    st.booleans(),
+)
+numeric_field = st.one_of(any_float64.map(lambda v: "%15.7E" % v), padded_field)
+block_field = st.one_of(numeric_field, st.just(" " * 15), damaged_field)
+block_line = st.one_of(
+    st.lists(block_field, max_size=5).map("".join),
+    st.text(alphabet=damaged_chars, max_size=80),  # ragged width
+)
+
+
+def field_count(lines):
+    """Non-blank 15-character fields, as the per-field parser counts them."""
+    return sum(
+        1
+        for line in lines
+        for start in range(0, len(line.rstrip("\n")), 15)
+        if line.rstrip("\n")[start : start + 15].strip()
+    )
+
+
+@st.composite
+def blocks_with_counts(draw):
+    """Damaged lines, or numeric fields cut into lines, and a count."""
+    if draw(st.booleans()):
+        lines = draw(st.lists(block_line, max_size=6))
+    else:
+        text = "".join(draw(st.lists(numeric_field, max_size=10)))
+        step = draw(st.sampled_from([1, 15]))  # ragged or field-aligned lines
+        cuts = sorted(step * i for i in draw(st.lists(st.integers(0, len(text) // step), max_size=4)))
+        lines = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+    n = field_count(lines)
+    count = draw(st.sampled_from([n, n, max(n - 1, 0), n + 1, len("".join(lines)) // 15]))
+    return lines, count
+
+
+class TestFixedBlockMatchesReference:
+    @given(arrays(np.float64, st.integers(0, 23), elements=any_float64))
+    @settings(max_examples=150, deadline=None)
+    def test_format_and_parse_identical(self, values):
+        text = format_fixed_block(values)
+        assert text == reference_format_fixed_block(values)
+        lines = text.splitlines()
+        new = parse_fixed_block(lines, len(values))
+        ref = reference_parse_fixed_block(lines, len(values))
+        assert np.array_equal(new.view(np.int64), ref.view(np.int64))
+
+    @given(blocks_with_counts())
+    @settings(max_examples=300, deadline=None)
+    def test_malformed_blocks_identical(self, block):
+        lines, count = block
+        assert parse_outcome(parse_fixed_block, lines, count) == parse_outcome(
+            reference_parse_fixed_block, lines, count
+        )
 
 
 class TestV1Properties:
