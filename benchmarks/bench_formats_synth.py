@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from repro.dsp.peak import PeakValues
-from repro.formats.common import COMPONENTS, Header, format_fixed_block, parse_fixed_block
+from repro.formats import common
+from repro.formats.common import (
+    COMPONENTS,
+    Header,
+    block_line_count,
+    format_fixed_block,
+    parse_fixed_block,
+)
 from repro.formats.v1 import RawRecord, read_v1, write_v1
 from repro.formats.v2 import CorrectedRecord, read_v2, write_v2
 from repro.synth.dataset import synthesize_station_record
@@ -17,20 +24,49 @@ from repro.synth.events import EventSpec
 from repro.synth.network import make_network
 
 RNG = np.random.default_rng(99)
-VALUES_20K = RNG.normal(size=20_000)
-#: The largest EV-NOV18 file holds 35,000 points per component.
-VALUES_35K = RNG.normal(size=35_000)
-#: Three-digit exponents fill all 15 characters of a field.
-VALUES_35K_E3 = RNG.normal(size=35_000) * 1e-200
-
-BLOCKS = {"20k": VALUES_20K, "35k": VALUES_35K, "35k-e3": VALUES_35K_E3}
+CUT = common._VECTOR_MIN_VALUES
+#: Block lengths the pipeline writes: 30-period and 100-period spectra,
+#: both sides of the formatter's numpy cut, the largest EV-NOV18 file
+#: (12,910 points), the largest interleaved GEM block (2 x 12,910) and
+#: the paper's 35,000-point per-file bound (the largest catalog file,
+#: EV-MAY19's, holds 32,795).
+SIZES = {
+    "30": 30,
+    "100": 100,
+    "cut-1": CUT - 1,
+    "cut": CUT,
+    "cut+1": CUT + 1,
+    "12910": 12_910,
+    "25820": 25_820,
+    "35k": 35_000,
+}
+BLOCKS = {name: RNG.normal(size=n) for name, n in SIZES.items()}
+#: Three-digit exponents fill all 15 characters of a field and are
+#: formatted by ``%`` on either side of the cut.
+BLOCKS["35k-e3"] = RNG.normal(size=35_000) * 1e-200
 
 
 @pytest.mark.parametrize("block", sorted(BLOCKS))
 def test_bench_fixed_block_format(benchmark, block):
     values = BLOCKS[block]
     text = benchmark(format_fixed_block, values)
-    assert len(text) == 15 * values.size + len(values) // 5
+    lines = text.splitlines()
+    assert len(lines) == block_line_count(values.size)
+    assert len(text) == 15 * values.size + len(lines)
+
+
+#: The two formatter paths on the same blocks, around the cut: the
+#: ``%`` template below it, numpy digit arithmetic from it on.
+CROSSOVER = {n: RNG.normal(size=n) for n in (64, 128, 192, CUT, 384)}
+PATHS = {"template": common._format_template, "digits": common._format_fields}
+
+
+@pytest.mark.parametrize("n", sorted(CROSSOVER))
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_bench_format_path_crossover(benchmark, path, n):
+    values = CROSSOVER[n]
+    text = benchmark(PATHS[path], values)
+    assert text == format_fixed_block(values)
 
 
 @pytest.mark.parametrize("block", sorted(BLOCKS))

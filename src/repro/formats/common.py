@@ -30,6 +30,7 @@ _FIELD_WIDTH = 15
 _PER_LINE = 5
 _FMT = "%15.7E"
 _LINE_FMT = _FMT * _PER_LINE + "\n"
+_LINE_WIDTH = _PER_LINE * _FIELD_WIDTH + 1
 
 #: :func:`repro.observability.metrics.record_points`, bound lazily —
 #: the formats package is a leaf the observability package sits above.
@@ -53,18 +54,152 @@ def count_points(npts: int, process: str | None = None) -> None:
 def format_fixed_block(values: np.ndarray) -> str:
     """Render a 1-D array as fixed-width E15.7 lines, 5 values per line.
 
-    The whole block is one ``%`` over a template of ``%15.7E`` fields,
-    so every value goes through the same conversion as a per-value loop
-    and the bytes are identical to it.
+    A block shorter than ``_VECTOR_MIN_VALUES`` is one ``%`` over a
+    template of ``%15.7E`` fields.  A longer one is built with numpy
+    digit arithmetic by :func:`_format_fields`, which hands every value
+    it cannot convert exactly back to ``%``.  Both give the bytes of a
+    per-value ``%15.7E`` loop.
     """
     values = np.asarray(values, dtype=float).ravel()
-    if values.size == 0:
-        return ""
+    if values.size < _VECTOR_MIN_VALUES:
+        return _format_template(values)
+    return "".join(
+        _format_fields(values[start : start + _VECTOR_CHUNK])
+        for start in range(0, values.size, _VECTOR_CHUNK)
+    )
+
+
+def _format_template(values: np.ndarray) -> str:
+    """The block as one ``%`` over a template of ``%15.7E`` fields."""
     full, rest = divmod(values.size, _PER_LINE)
     template = _LINE_FMT * full
     if rest:
         template += _FMT * rest + "\n"
     return template % tuple(values.tolist())
+
+
+#: Shortest block built with numpy.  The numpy path costs 60-100 µs a
+#: block plus 0.06 µs a value, ``%`` 0.35-0.75 µs a value: measured
+#: crossovers lie between 128 and 384 values (docs/file_formats.md).
+#: ``benchmarks/bench_formats_synth.py`` times both paths.
+_VECTOR_MIN_VALUES = 256
+#: Values built per numpy pass, a whole number of lines.  It keeps each
+#: float64 temporary at 80 KB: longer blocks in one pass ran about
+#: twice as slow per value, as their temporaries were mapped fresh.
+_VECTOR_CHUNK = 10_000
+#: 10**0 .. 10**22, every power of ten a float64 holds exactly.
+_EXACT_POW10 = np.array([float(10**k) for k in range(23)])
+#: A tie guard: scaled mantissas this close to a half-integer go to ``%``.
+_TIE_MARGIN = 1e-6
+
+
+# A field is " sD.DDDDDDDE+XX".  It is written as three little-endian
+# words at byte offsets 0, 7 and 11, each looked up in a table below;
+# the first word's last byte is a placeholder the second overwrites.
+_DIGITS4 = (
+    np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+).astype(np.uint8)
+_HEAD_BYTES = np.full((10_000, 8), ord(" "), dtype=np.uint8)
+_HEAD_BYTES[:, 2] = _DIGITS4[:, 0]
+_HEAD_BYTES[:, 3] = ord(".")
+_HEAD_BYTES[:, 4:7] = _DIGITS4[:, 1:]
+#: Bytes 0-7, "  D.DDD ", keyed by the mantissa's four high digits.
+_HEAD = _HEAD_BYTES.view("<u8").ravel()
+#: Added to a head word to turn byte 1 from " " into "-".
+_MINUS = np.uint64((ord("-") - ord(" ")) << 8)
+#: Bytes 7-10, "DDDD", keyed by the mantissa's four low digits.
+_TAIL = _DIGITS4.view("<u4").ravel()
+#: Bytes 11-14, "E+XX", keyed by exponent + 99.
+_EXPONENT = np.frombuffer(
+    "".join("E%+03d" % e for e in range(-99, 100)).encode("ascii"), dtype="<u4"
+)
+
+
+def _format_fields(values: np.ndarray) -> str:
+    """Build the E15.7 block of ``values`` from digits; see docs/file_formats.md.
+
+    The eight digits of a field are the mantissa ``|v| * 10**(7 - e)``
+    rounded to an integer in [1e7, 1e8).  The scaling multiplies or
+    divides by an exact power of ten, one correctly rounded operation,
+    so the computed mantissa is within half an ulp (< 1e-8) of the true
+    one and rounds the same way unless it lies near a half-integer.
+    Those values, and all the others the digit path does not cover
+    (non-finite, exponent outside the exact range, mantissa outside
+    [1e7, 1e8) after one correction), are formatted by ``%`` and
+    spliced in.
+    """
+    n = values.size
+    full, rest = divmod(n, _PER_LINE)
+    nlines = full + (rest > 0)
+    padded = np.zeros(nlines * _PER_LINE)
+    padded[:n] = values
+    mag = np.abs(padded)
+    regular = (mag > 0.0) & (mag < np.inf)
+    zero = mag == 0.0
+    mag = np.where(regular, mag, 1.0)
+    exp = np.floor(np.log10(mag)).astype(np.int64)
+    first = _scale(mag, exp)
+    exp += (first >= 1e8).astype(np.int64) - (first < 1e7)
+    mantissa = _scale(mag, exp)
+    rounded = np.rint(mantissa)
+    slow = ~(regular | zero)
+    slow |= np.abs(7 - exp) >= _EXACT_POW10.size
+    slow |= (mantissa < 1e7) | (mantissa >= 1e8)
+    slow |= np.abs(mantissa - rounded) > 0.5 - _TIE_MARGIN
+    # A mantissa that rounds up to 1e8 carries into the exponent.
+    carry = rounded == 1e8
+    rounded[carry] = 1e7
+    exp += carry
+    # Zeros print as 0.0000000E+00.  Fields that go to ``%`` get the same
+    # placeholder, which keeps the integer cast and the lookups in range.
+    skip = slow | zero
+    rounded[skip] = 0.0
+    exp[skip] = 0
+    high, low = np.divmod(rounded.astype(np.int64), 10_000)
+
+    buf = np.empty(nlines * _LINE_WIDTH, dtype=np.uint8)
+    buf[_LINE_WIDTH - 1 :: _LINE_WIDTH] = ord("\n")
+    shape = (nlines, _PER_LINE)
+    _field_words(buf, "<u8", 0)[...] = (
+        _HEAD.take(high) + np.signbit(padded) * _MINUS
+    ).reshape(shape)
+    _field_words(buf, "<u4", 7)[...] = _TAIL.take(low).reshape(shape)
+    _field_words(buf, "<u4", 11)[...] = _EXPONENT.take(exp + 99).reshape(shape)
+
+    slow_at = np.flatnonzero(slow[:n])
+    if slow_at.size:
+        text = _FMT * slow_at.size % tuple(values[slow_at].tolist())
+        fields = buf.reshape(nlines, _LINE_WIDTH)[:, :-1].reshape(nlines, _PER_LINE, _FIELD_WIDTH)
+        fields[slow_at // _PER_LINE, slow_at % _PER_LINE] = np.frombuffer(
+            text.encode("ascii"), dtype=np.uint8
+        ).reshape(-1, _FIELD_WIDTH)
+    if rest:
+        # Cut the padding fields off the last line and end it there.
+        buf = buf[: buf.size - (_PER_LINE - rest) * _FIELD_WIDTH]
+        buf[-1] = ord("\n")
+    return buf.tobytes().decode("ascii")
+
+
+def _scale(mag: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """``mag * 10**(7 - exp)`` in one correctly rounded operation.
+
+    Shifts outside the exact range are clipped here; the caller routes
+    those values to ``%``.
+    """
+    up = _EXACT_POW10.take(7 - exp, mode="clip")
+    down = _EXACT_POW10.take(exp - 7, mode="clip")
+    return mag * up / down
+
+
+def _field_words(buf: np.ndarray, dtype: str, offset: int) -> np.ndarray:
+    """A (lines, 5) view of the ``dtype`` word at ``offset`` in every field."""
+    return np.ndarray(
+        (buf.size // _LINE_WIDTH, _PER_LINE),
+        dtype=dtype,
+        buffer=buf,
+        offset=offset,
+        strides=(_LINE_WIDTH, _FIELD_WIDTH),
+    )
 
 
 def parse_fixed_block(lines: list[str], count: int, *, path: str = "<memory>") -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import DataBlockError, HeaderError, MissingArtifactError
 from repro.formats.common import (
+    _VECTOR_MIN_VALUES,
     Header,
     block_line_count,
     format_fixed_block,
@@ -61,15 +62,18 @@ class TestAgainstReference:
     )
 
     def test_edge_values_match_reference(self):
-        text = format_fixed_block(self.EDGE_VALUES)
-        assert text == reference_format_fixed_block(self.EDGE_VALUES)
-        # A three-digit exponent fills the whole field: no leading space.
-        assert "-1.0000000E-200" in text
-        lines = text.splitlines()
-        n = len(self.EDGE_VALUES)
-        assert parse_outcome(parse_fixed_block, lines, n) == parse_outcome(
-            reference_parse_fixed_block, lines, n
-        )
+        # Padded past the cut, the numpy formatter must splice the same
+        # fields in for the values it hands back to ``%``.
+        for n in (len(self.EDGE_VALUES), _VECTOR_MIN_VALUES + 3):
+            values = np.resize(self.EDGE_VALUES, n)
+            text = format_fixed_block(values)
+            assert text == reference_format_fixed_block(values)
+            # A three-digit exponent fills the whole field: no leading space.
+            assert "-1.0000000E-200" in text
+            lines = text.splitlines()
+            assert parse_outcome(parse_fixed_block, lines, n) == parse_outcome(
+                reference_parse_fixed_block, lines, n
+            )
 
     @pytest.mark.parametrize(
         "lines, count",

@@ -1,5 +1,7 @@
 """Property-based round-trip tests for the file formats."""
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.dsp.peak import PeakValues
+from repro.formats import common
 from repro.formats.common import COMPONENTS, Header, format_fixed_block, parse_fixed_block
 from repro.formats.gem import GemSeries, read_gem, write_gem
 from repro.formats.v1 import RawRecord, read_v1, write_v1
@@ -51,6 +54,10 @@ any_float64 = st.one_of(
     st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, -1.0e-200, 9.99999995e99, -1e300]),
 )
+
+CUT = common._VECTOR_MIN_VALUES
+#: Both sides of the formatter's numpy cut and every length modulo 5.
+CUT_LENGTHS = [CUT - 1, CUT, CUT + 1, CUT + 2, CUT + 3, CUT + 4]
 
 # Characters a damaged or hand-edited block may hold: numerals, float
 # grammar, whitespace Python's str.strip() knows and bytes it does not,
@@ -98,7 +105,13 @@ def blocks_with_counts(draw):
 
 
 class TestFixedBlockMatchesReference:
-    @given(arrays(np.float64, st.integers(0, 23), elements=any_float64))
+    @given(
+        arrays(
+            np.float64,
+            st.one_of(st.integers(0, 23), st.sampled_from(CUT_LENGTHS)),
+            elements=any_float64,
+        )
+    )
     @settings(max_examples=150, deadline=None)
     def test_format_and_parse_identical(self, values):
         text = format_fixed_block(values)
@@ -115,6 +128,96 @@ class TestFixedBlockMatchesReference:
         assert parse_outcome(parse_fixed_block, lines, count) == parse_outcome(
             reference_parse_fixed_block, lines, count
         )
+
+
+# Values aimed at the guards of the numpy formatter.
+
+
+@st.composite
+def exact_ties(draw):
+    """Values whose decimal expansion is nine significant digits ending in 5.
+
+    ``n / 2**p`` is written in decimal as ``n * 5**p`` shifted; for odd
+    ``n`` with ``n * 5**p`` of nine digits the last one is 5, so the
+    value lies exactly halfway between two E15.7 fields.  Scaling by
+    ``10**j`` keeps it exact while ``n * 5**j < 2**53``.
+    """
+    p = draw(st.integers(1, 12))
+    low, high = -(-(10**8) // 5**p), (10**9 - 1) // 5**p
+    n = 2 * draw(st.integers(low // 2, (high - 1) // 2)) + 1
+    j = draw(st.integers(0, max(j for j in range(11) if n * 5**j < 2**53)))
+    value = n * 10**j / 2**p
+    return -value if draw(st.booleans()) else value
+
+
+def is_exact_tie(value: float) -> bool:
+    digits = Decimal(value).normalize().as_tuple().digits
+    return len(digits) == 9 and digits[-1] == 5
+
+
+#: Decimal ties and decade carries at any exponent: the nearest double
+#: lies just above or below the halfway point, or rounds up into the
+#: next decade.
+decimal_near_ties = st.builds(
+    lambda digits, exp: float(f"{digits}5e{exp}"),
+    st.integers(10**7, 10**8 - 1).map(lambda d: f"{str(d)[0]}.{str(d)[1:]}"),
+    st.integers(-320, 300),
+)
+decade_carries = st.builds(
+    lambda stem, exp: float(f"{stem}e{exp}"),
+    st.sampled_from(["9.99999995", "9.999999949999", "9.99999996", "99999999.5",
+                     "99999999.49999", "0.999999995", "1", "10"]),
+    st.integers(-330, 300),
+)
+#: Mantissas at the edges of the exact powers of ten (|7 - e| <= 22)
+#: and at the two- to three-digit exponent step.
+exponent_edges = st.builds(
+    lambda mantissa, exp: float(f"{mantissa!r}e{exp}"),
+    st.floats(1.0, 10.0, exclude_max=True),
+    st.sampled_from([-100, -99, -17, -16, -15, -14, 28, 29, 30, 31, 99, 100]),
+)
+special_values = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                     2.2250738585072014e-308, -1.7976931348623157e308]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+)
+guard_values = st.one_of(
+    exact_ties(), decimal_near_ties, decade_carries, exponent_edges, special_values
+)
+
+#: Blocks formatted in several numpy passes.
+CHUNK_LENGTHS = [common._VECTOR_CHUNK - 1, common._VECTOR_CHUNK + 1, 2 * common._VECTOR_CHUNK + 3]
+
+
+@st.composite
+def guarded_blocks(draw, lengths):
+    """A seeded background block with guard values dropped into it."""
+    n = draw(st.sampled_from(lengths))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = rng.normal(size=n) * 10.0 ** draw(st.integers(-20, 32))
+    aimed = draw(st.lists(guard_values, min_size=1, max_size=40))
+    at = draw(st.lists(st.integers(0, n - 1), min_size=len(aimed), max_size=len(aimed)))
+    block[at] = aimed
+    return block
+
+
+class TestVectorFormatterMatchesReference:
+    @given(st.lists(exact_ties(), min_size=1, max_size=20), st.sampled_from(CUT_LENGTHS))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_ties(self, ties, n):
+        assert all(map(is_exact_tie, ties))
+        values = np.resize(ties, n)
+        assert format_fixed_block(values) == reference_format_fixed_block(values)
+
+    @given(guarded_blocks(CUT_LENGTHS))
+    @settings(max_examples=200, deadline=None)
+    def test_guard_values_around_the_cut(self, values):
+        assert format_fixed_block(values) == reference_format_fixed_block(values)
+
+    @given(guarded_blocks(CHUNK_LENGTHS))
+    @settings(max_examples=10, deadline=None)
+    def test_guard_values_across_chunks(self, values):
+        assert format_fixed_block(values) == reference_format_fixed_block(values)
 
 
 class TestV1Properties:
