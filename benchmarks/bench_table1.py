@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks.conftest import fresh_context
 from repro.bench.table1 import max_relative_error, render_table1, table1_model
-from repro.core import IMPLEMENTATIONS
+from repro.engine import PAPER_POLICIES, policy_by_name
 
 
 class TestTable1Model:
@@ -28,14 +28,14 @@ class TestTable1Model:
         assert "SpeedUp" in text
 
 
-@pytest.mark.parametrize("impl_cls", IMPLEMENTATIONS, ids=lambda c: c.name)
-def test_bench_table1_measured(benchmark, tmp_path, bench_dataset_dir, impl_cls):
+@pytest.mark.parametrize("policy", PAPER_POLICIES)
+def test_bench_table1_measured(benchmark, tmp_path, bench_dataset_dir, policy):
     """Measured mode: one wall-clock pipeline run per implementation."""
     counter = iter(range(1_000_000))
 
     def run():
         ctx = fresh_context(tmp_path / f"r{next(counter)}", bench_dataset_dir)
-        return impl_cls().run(ctx)
+        return policy_by_name(policy).run(ctx)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     assert result.total_s > 0

@@ -10,7 +10,7 @@ import pytest
 from benchmarks.conftest import fresh_context
 from repro.bench.taskgraphs import simulate_implementation
 from repro.bench.workloads import paper_workloads
-from repro.core import WavefrontParallel
+from repro.engine import policy_by_name
 
 
 def test_bench_wavefront_model(benchmark):
@@ -38,7 +38,7 @@ def test_bench_wavefront_measured(benchmark, tmp_path, bench_dataset_dir):
 
     def run():
         ctx = fresh_context(tmp_path / f"wf{next(counter)}", bench_dataset_dir)
-        return WavefrontParallel().run(ctx)
+        return policy_by_name("wavefront-parallel").run(ctx)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     assert result.stage_durations["wavefront"] > 0

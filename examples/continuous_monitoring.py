@@ -17,7 +17,7 @@ import tempfile
 
 import numpy as np
 
-from repro import RunContext, WavefrontParallel
+from repro import RunContext, policy_by_name
 from repro.detect import detect_events
 from repro.formats.common import COMPONENTS, Header
 from repro.formats.v1 import RawRecord, write_v1
@@ -85,7 +85,7 @@ def main() -> int:
         write_v1(ctx.workspace.raw_v1(station), record)
     print(f"\nWrote {len(windows)} triggered V1 record(s) to {ctx.workspace.input_dir}")
 
-    result = WavefrontParallel().run(ctx)
+    result = policy_by_name("wavefront-parallel").run(ctx)
     print(f"Pipeline processed the detections in {result.total_s:.2f} s")
     from repro.formats.v2 import read_v2
 

@@ -16,9 +16,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.core import WavefrontParallel
 from repro.core.batch import BatchRunner
 from repro.core.context import ParallelSettings
+from repro.engine import policy_by_name
 from repro.spectra.response import ResponseSpectrumConfig, default_periods
 from repro.synth.events import EventSpec
 
@@ -36,7 +36,7 @@ def main() -> int:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.1
     root = Path(tempfile.mkdtemp(prefix="repro-bulletin-"))
     runner = BatchRunner(
-        implementation=WavefrontParallel(),
+        implementation=policy_by_name("wavefront-parallel").pipeline(),
         root=root,
         scale=scale,
         response_config=ResponseSpectrumConfig(

@@ -32,26 +32,14 @@ span trace of the whole run, exportable as Chrome Trace Event JSON.
 from repro._version import __version__
 from repro.api import run
 from repro.engine import (
+    PAPER_POLICIES,
     PipelineBuilder,
     SchedulingPolicy,
     TaskGraph,
     policy_by_name,
     policy_names,
 )
-from repro.core import (
-    ALL_IMPLEMENTATIONS,
-    FullyParallel,
-    IMPLEMENTATIONS,
-    ParallelSettings,
-    PartiallyParallel,
-    PipelineResult,
-    RunContext,
-    SequentialOptimized,
-    SequentialOriginal,
-    WavefrontParallel,
-    Workspace,
-    implementation_by_name,
-)
+from repro.core import ParallelSettings, PipelineResult, RunContext, Workspace
 from repro.observability import Trace, Tracer
 from repro.synth import EventSpec, PAPER_EVENTS, generate_event_dataset
 
@@ -64,14 +52,7 @@ __all__ = [
     "ParallelSettings",
     "Workspace",
     "PipelineResult",
-    "SequentialOriginal",
-    "SequentialOptimized",
-    "PartiallyParallel",
-    "FullyParallel",
-    "WavefrontParallel",
-    "IMPLEMENTATIONS",
-    "ALL_IMPLEMENTATIONS",
-    "implementation_by_name",
+    "PAPER_POLICIES",
     "PipelineBuilder",
     "SchedulingPolicy",
     "TaskGraph",

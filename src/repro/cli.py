@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 ``repro-process``
-    Run one of the four pipeline implementations against a workspace,
+    Run the pipeline under one scheduling policy against a workspace,
     optionally generating a synthetic event dataset first.
 
 ``repro-bench``
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from repro.core import RunContext
 from repro.core.context import ParallelSettings
-from repro.engine import pipeline_factory, policy_names
+from repro.engine import PAPER_POLICIES, pipeline_factory, policy_names
 from repro.parallel.backend import Backend
 from repro.spectra.response import ResponseSpectrumConfig, default_periods
 
@@ -31,13 +31,11 @@ def _build_process_parser() -> argparse.ArgumentParser:
     parser.add_argument("workspace", help="workspace directory (input/ holds the .v1 files)")
     parser.add_argument(
         "--policy",
-        "--implementation",
         "-i",
-        dest="policy",
         default="full-parallel",
         choices=policy_names(),
-        help="scheduling policy to run (--implementation is the deprecated "
-        "alias; choices come from the engine's policy registry)",
+        help="scheduling policy to run (choices come from the engine's "
+        "policy registry)",
     )
     parser.add_argument(
         "--generate-event",
@@ -260,9 +258,11 @@ def _build_bench_parser() -> argparse.ArgumentParser:
         help="additionally render the figure (or schedule Gantt) as PostScript",
     )
     parser.add_argument(
-        "--implementation",
+        "--policy",
         default="full-parallel",
-        help="implementation for 'schedule' rendering",
+        # The policies repro.bench.taskgraphs can simulate.
+        choices=PAPER_POLICIES + ("wavefront-parallel",),
+        help="scheduling policy for 'schedule' rendering",
     )
     return parser
 
@@ -312,7 +312,7 @@ def main_bench(argv: list[str] | None = None) -> int:
         from repro.bench.render import render_schedule_ps
 
         out = args.render or "schedule.ps"
-        render_schedule_ps(out, implementation=args.implementation)
+        render_schedule_ps(out, args.policy)
         print(f"rendered {out}")
     elif args.experiment == "pipeline-map":
         from repro.core.pipeline_map import render_pipeline_map
@@ -396,13 +396,10 @@ def _build_bulletin_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scale", type=float, default=1.0, help="dataset size scale")
     parser.add_argument(
         "--policy",
-        "--implementation",
         "-i",
-        dest="policy",
         default="wavefront-parallel",
         choices=policy_names(),
-        help="scheduling policy to use (--implementation is the deprecated "
-        "alias)",
+        help="scheduling policy to use",
     )
     parser.add_argument("--periods", type=int, default=100, help="response-spectrum periods")
     parser.add_argument("--workers", type=int, default=None, help="parallel workers")
@@ -499,13 +496,11 @@ def _build_chaos_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=2, help="parallel worker count")
     parser.add_argument(
         "--policies",
-        "--implementations",
-        dest="implementations",
         nargs="+",
         default=None,
+        choices=policy_names(),
         metavar="NAME",
-        help="scheduling policies to soak (default: the paper's four; "
-        "--implementations is the deprecated alias)",
+        help="scheduling policies to soak (default: the paper's four)",
     )
     return parser
 
@@ -520,7 +515,7 @@ def main_chaos(argv: list[str] | None = None) -> int:
         args.seeds,
         scale=args.scale,
         n_faults=args.faults,
-        implementations=args.implementations,
+        implementations=args.policies,
         workers=args.workers,
     )
     print(report.render())

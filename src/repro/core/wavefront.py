@@ -49,9 +49,9 @@ from repro.core.processes.p16_response import response_for_trace
 from repro.core.processes.p17_response_meta import run_p17
 from repro.core.processes.p19_gem import set_data_apart
 from repro.core.runner import PipelineImplementation, PipelineResult, ProcessTiming
-from repro.core.staged import correction_instance, fourier_instance
 from repro.core.tempfolders import run_staged_instance
 from repro.dsp.fir import BandPassSpec
+from repro.engine.executor import correction_instance, fourier_instance
 from repro.formats.common import COMPONENTS
 from repro.formats.fourier import component_f_name, read_fourier
 from repro.formats.params import FilterParams, read_filter_params, write_filter_params

@@ -16,7 +16,8 @@ and the thread/process backends.
     result = repro.run("workspace", policy=builder)
 
 The paper's four schemes are the built-in policies ``seq-original``,
-``seq-optimized``, ``partial-parallel`` and ``full-parallel``;
+``seq-optimized``, ``partial-parallel`` and ``full-parallel``
+(:data:`PAPER_POLICIES`);
 ``full-parallel-fused`` additionally executes the ``repro-lint``
 fusion advisories, and ``dag-parallel`` runs the layering derived
 straight from the declarations.
@@ -36,6 +37,7 @@ from repro.engine.graph import (
 )
 from repro.engine.executor import Engine, EnginePipeline, run_graph
 from repro.engine.policy import (
+    PAPER_POLICIES,
     POLICIES,
     ClusterPolicy,
     DerivedPolicy,
@@ -72,6 +74,7 @@ __all__ = [
     "ClusterPolicy",
     "GraphPolicy",
     "LegacyPolicy",
+    "PAPER_POLICIES",
     "POLICIES",
     "pipeline_factory",
     "policy_by_name",

@@ -497,11 +497,10 @@ def _temp_folder_stage(pid: int) -> str:
 class EnginePipeline(PipelineImplementation):
     """A scheduling policy adapted to the implementation interface.
 
-    This is the execution front door the redesigned API hands out: the
-    shared :meth:`~repro.core.runner.PipelineImplementation.run`
-    wrapper (auditing, resilience runtime, tracer/profiler sessions,
-    metrics) drives the engine exactly as it drove the legacy
-    implementation classes.
+    This is the execution front door the API hands out: the shared
+    :meth:`~repro.core.runner.PipelineImplementation.run` wrapper
+    (auditing, resilience runtime, tracer/profiler sessions, metrics)
+    drives the engine.
     """
 
     def __init__(self, policy, *, verify: bool = False) -> None:

@@ -64,7 +64,7 @@ class SchedulingPolicy:
 
     Subclasses implement :meth:`plan`; :meth:`pipeline` adapts the
     policy to the implementation interface so it can be run, traced,
-    profiled and benchmarked like any legacy implementation.
+    profiled and benchmarked.
     """
 
     name: str = ""
@@ -114,7 +114,7 @@ class StagedPolicy(SchedulingPolicy):
     """The Fig. 9 eleven-stage plan with per-stage strategies.
 
     ``strategies`` maps stage name to its strategy (missing stages run
-    ``seq``) — the same shape the legacy staged implementations used.
+    ``seq``).
     With ``fuse=True``, adjacent stages joined by no dependency edge
     merge into single barrier groups: the executed form of the
     ``repro-lint`` schedule advisories (II+III, VI+VII, X+XI on the
@@ -189,24 +189,44 @@ class DerivedPolicy(SchedulingPolicy):
         return graph, graph.derive_regions()
 
 
+def _cluster_rank_body(comm, ctx) -> list:
+    """SPMD body: process this rank's round-robin share of stations.
+
+    Rank 0 broadcasts the station list, every rank runs its share
+    through the full per-station chain, and the corner specs are
+    gathered back to rank 0.  Module-level so it pickles into the rank
+    processes.
+    """
+    from repro.core.processes.p03_separate import stations_from_list
+    from repro.core.wavefront import process_station_wavefront
+
+    stations = stations_from_list(ctx.workspace) if comm.rank == 0 else None
+    stations = comm.bcast(stations, root=0)
+    specs = []
+    for index in range(comm.rank, len(stations), comm.size):
+        specs.extend(process_station_wavefront(ctx, (index, stations[index])))
+    gathered = comm.gather(specs, root=0)
+    comm.barrier()
+    if comm.rank == 0:
+        return [spec for rank_specs in gathered for spec in rank_specs]
+    return []
+
+
 class ClusterPolicy(SchedulingPolicy):
     """Prologue / SPMD ranks / epilogue as three custom tasks.
 
     The rank fan-out is one custom task wrapping
     :func:`repro.parallel.cluster.run_cluster`; the deterministic
     epilogue merges the gathered corner specs and maxvals shards.
+    ``n_ranks`` defaults to the context's worker count; one rank runs
+    the station chains inline, like a single-rank MPI job.
     """
 
     name = "cluster-parallel"
     description = "Cluster: MPI-style ranks over a shared workspace"
 
-    def __init__(self, n_ranks: int | None = None, *, name: str | None = None,
-                 description: str | None = None) -> None:
+    def __init__(self, n_ranks: int | None = None) -> None:
         self.n_ranks = n_ranks
-        if name is not None:
-            self.name = name
-        if description is not None:
-            self.description = description
 
     def plan(self, ctx) -> tuple[TaskGraph, list[Region]]:
         state: dict = {}
@@ -264,7 +284,6 @@ class ClusterPolicy(SchedulingPolicy):
         run_p11(ctx)
 
     def _ranks(self, state: dict, ctx, result) -> None:
-        from repro.core.cluster_impl import _cluster_rank_body
         from repro.core.processes.p03_separate import stations_from_list
         from repro.parallel.cluster import run_cluster
 
@@ -379,6 +398,11 @@ def _full_strategies() -> dict[str, str]:
         if stage.name in FULL_PARALLEL_STAGES
     }
 
+
+#: The paper's four schemes (§III–§VI), in presentation order.
+PAPER_POLICIES: tuple[str, ...] = (
+    "seq-original", "seq-optimized", "partial-parallel", "full-parallel",
+)
 
 #: Policy name -> zero-argument factory.  Extend with
 #: :func:`register_policy`.

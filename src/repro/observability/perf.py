@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
+from repro.engine.policy import PAPER_POLICIES, policy_by_name
+
 SCHEMA = "repro-bench/2"
 
 #: Schema versions :func:`validate_bench` accepts.  v2 added the
@@ -38,11 +40,6 @@ SCHEMA = "repro-bench/2"
 #: block per implementation entry; v1 documents (the committed seed
 #: baseline among them) still validate and compare.
 KNOWN_SCHEMAS = ("repro-bench/1", "repro-bench/2")
-
-#: Paper implementations measured by default, sequential baseline first.
-DEFAULT_IMPLEMENTATIONS = (
-    "seq-original", "seq-optimized", "partial-parallel", "full-parallel",
-)
 
 
 @dataclass(frozen=True)
@@ -179,7 +176,7 @@ def _measure_one(
 def record_bench(
     *,
     events: Sequence[Any] | None = None,
-    implementations: Sequence[str] = DEFAULT_IMPLEMENTATIONS,
+    implementations: Sequence[str] = PAPER_POLICIES,
     scale: float = 0.02,
     repeats: int = 2,
     periods: int = 30,
@@ -585,7 +582,7 @@ def _worst_stage_summary(
 def explain_event(
     event: Any,
     *,
-    implementations: Sequence[str] = DEFAULT_IMPLEMENTATIONS,
+    implementations: Sequence[str] = PAPER_POLICIES,
     scale: float = 0.02,
     periods: int = 30,
     backend: str = "thread",
@@ -633,17 +630,30 @@ def explain_event(
 # -- CLI -------------------------------------------------------------------
 
 
+def _policy_list(text: str) -> list[str]:
+    """``--policies`` value: comma-separated names, each one registered."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    for name in names:
+        try:
+            policy_by_name(name)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return names
+
+
+def _add_policies_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--policies", type=_policy_list, default=list(PAPER_POLICIES),
+        help="comma-separated scheduling policy names (default: the paper's four)",
+    )
+
+
 def _add_record_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--events", default="all",
         help="comma-separated catalog event ids, or 'all' (default)",
     )
-    parser.add_argument(
-        "--policies", "--implementations", dest="implementations",
-        default=",".join(DEFAULT_IMPLEMENTATIONS),
-        help="comma-separated scheduling policy names "
-        "(--implementations is the deprecated alias)",
-    )
+    _add_policies_option(parser)
     parser.add_argument("--scale", type=float, default=0.02, help="workload scale")
     parser.add_argument(
         "--repeats", type=int, default=2,
@@ -665,7 +675,7 @@ def _resolve_events(spec: str) -> list[Any]:
 def _record_from_args(args: argparse.Namespace) -> dict[str, Any]:
     return record_bench(
         events=_resolve_events(args.events),
-        implementations=[n.strip() for n in args.implementations.split(",") if n.strip()],
+        implementations=args.policies,
         scale=args.scale,
         repeats=args.repeats,
         periods=args.periods,
@@ -725,12 +735,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "and measured vs modeled (Amdahl / work-span) speedup",
     )
     exp.add_argument("--event", default="EV-NOV18", help="catalog event id")
-    exp.add_argument(
-        "--policies", "--implementations", dest="implementations",
-        default=",".join(DEFAULT_IMPLEMENTATIONS),
-        help="comma-separated scheduling policy names "
-        "(--implementations is the deprecated alias)",
-    )
+    _add_policies_option(exp)
     exp.add_argument("--scale", type=float, default=0.02, help="workload scale")
     exp.add_argument("--periods", type=int, default=30, help="response-spectrum periods")
     exp.add_argument("--backend", default="thread", help="parallel backend")
@@ -780,9 +785,7 @@ def main_perf(argv: list[str] | None = None) -> int:
 
         reports = explain_event(
             paper_event(args.event),
-            implementations=[
-                n.strip() for n in args.implementations.split(",") if n.strip()
-            ],
+            implementations=args.policies,
             scale=args.scale,
             periods=args.periods,
             backend=args.backend,

@@ -1,6 +1,6 @@
 """``repro-profile``: one-command profiled pipeline runs.
 
-Runs a pipeline implementation on a synthetic catalog event with the
+Runs a scheduling policy on a synthetic catalog event with the
 cross-process sampling profiler attached, then writes every export the
 profiler supports next to each other:
 
@@ -43,6 +43,8 @@ OVERHEAD_FLOOR_S = 0.05
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.engine import policy_names
+
     parser = argparse.ArgumentParser(
         prog="repro-profile",
         description="Profile a pipeline run and export flamegraphs plus a "
@@ -53,12 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--policy",
-        "--implementation",
         "-i",
-        dest="policy",
         default="full-parallel",
-        help="scheduling policy to profile (--implementation is the "
-        "deprecated alias; see repro.engine.policy_names())",
+        choices=policy_names(),
+        help="scheduling policy to profile",
     )
     parser.add_argument(
         "--backend",

@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import RunContext, SequentialOptimized
+from repro.core import RunContext
 from repro.core.context import ParallelSettings
+from repro.engine import policy_by_name
 from repro.spectra.response import ResponseSpectrumConfig, default_periods
 from repro.synth.dataset import generate_event_dataset
 from repro.synth.events import EventSpec
@@ -60,7 +61,7 @@ def completed_run(tmp_path_factory: pytest.TempPathFactory, tiny_dataset_dir: Pa
     ctx = make_context(root)
     for src in tiny_dataset_dir.glob("*.v1"):
         shutil.copy2(src, ctx.workspace.input_dir / src.name)
-    SequentialOptimized().run(ctx)
+    policy_by_name("seq-optimized").run(ctx)
     return ctx
 
 

@@ -13,18 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import implementation_by_name
 from repro.core.batch import BatchRunner, Bulletin, EventSummary
 from repro.core.context import ParallelSettings
+from repro.engine import PAPER_POLICIES, policy_by_name
 from repro.resilience import FaultPlan, FaultSpec
 from repro.resilience.retry import RetryPolicy
 from repro.synth.events import EventSpec
 
 from tests.conftest import tiny_response_config
-
-IMPLEMENTATIONS = (
-    "seq-original", "seq-optimized", "partial-parallel", "full-parallel",
-)
 
 OK_EVENT = EventSpec("EV-OK", "2023-05-01", 5.0, 2, 16_000, seed=21)
 BAD_EVENT = EventSpec("EV-BAD", "2023-05-02", 5.4, 2, 16_000, seed=22)
@@ -44,7 +40,7 @@ FATAL_PLAN = FaultPlan(
 
 def run_batch(root: Path, impl_name: str, backend: str, plans: dict) -> Bulletin:
     runner = BatchRunner(
-        implementation=implementation_by_name(impl_name)(),
+        implementation=policy_by_name(impl_name).pipeline(),
         root=root,
         response_config=tiny_response_config(),
         parallel=ParallelSettings.uniform(backend, num_workers=2),
@@ -54,7 +50,7 @@ def run_batch(root: Path, impl_name: str, backend: str, plans: dict) -> Bulletin
 
 
 class TestDegradedBulletinMatrix:
-    @pytest.mark.parametrize("impl_name", IMPLEMENTATIONS)
+    @pytest.mark.parametrize("impl_name", PAPER_POLICIES)
     @pytest.mark.parametrize(
         "backend",
         ["thread", pytest.param("process", marks=pytest.mark.slow)],
@@ -85,7 +81,7 @@ class TestDegradedBulletinMatrix:
             impl_name: run_batch(
                 tmp_path / impl_name, impl_name, "thread", {"EV-BAD": QUARANTINE_PLAN}
             ).degraded_text()
-            for impl_name in IMPLEMENTATIONS
+            for impl_name in PAPER_POLICIES
         }
         assert len(set(texts.values())) == 1, texts
 

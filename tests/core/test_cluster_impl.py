@@ -1,26 +1,26 @@
-"""Tests for the MPI-style cluster pipeline implementation."""
+"""Tests for the MPI-style cluster policy."""
 
 import shutil
 
 import pytest
 
-from repro.core import ClusterParallel, SequentialOptimized, implementation_by_name
 from repro.core.context import ParallelSettings
+from repro.engine import ClusterPolicy, policy_by_name
 from tests.conftest import hash_tree, make_context
 
 
 @pytest.fixture(scope="module")
 def cluster_and_reference(tmp_path_factory, tiny_dataset_dir):
     runs = {}
-    for name, impl in (
-        ("reference", SequentialOptimized()),
-        ("cluster", ClusterParallel(n_ranks=2)),
+    for name, policy in (
+        ("reference", policy_by_name("seq-optimized")),
+        ("cluster", ClusterPolicy(2)),
     ):
         root = tmp_path_factory.mktemp(f"cl-{name}") / "ws"
         ctx = make_context(root, parallel=ParallelSettings(num_workers=2))
         for src in tiny_dataset_dir.glob("*.v1"):
             shutil.copy2(src, ctx.workspace.input_dir / src.name)
-        result = impl.run(ctx)
+        result = policy.run(ctx)
         runs[name] = (ctx, result)
     return runs
 
@@ -41,13 +41,13 @@ class TestClusterImplementation:
         assert result.stage_durations["ranks"] > 0
 
     def test_registered_by_name(self):
-        assert implementation_by_name("cluster-parallel") is ClusterParallel
+        assert isinstance(policy_by_name("cluster-parallel"), ClusterPolicy)
 
     def test_single_rank_inline(self, tmp_path, tiny_dataset_dir):
         ctx = make_context(tmp_path / "one")
         for src in tiny_dataset_dir.glob("*.v1"):
             shutil.copy2(src, ctx.workspace.input_dir / src.name)
-        result = ClusterParallel(n_ranks=1).run(ctx)
+        result = ClusterPolicy(1).run(ctx)
         assert result.total_s > 0
         from repro.core.verify import verify_inventory
 
@@ -58,5 +58,5 @@ class TestClusterImplementation:
         for src in tiny_dataset_dir.glob("*.v1"):
             shutil.copy2(src, ctx.workspace.input_dir / src.name)
         # More ranks than stations must not deadlock or fail.
-        result = ClusterParallel(n_ranks=16).run(ctx)
+        result = ClusterPolicy(16).run(ctx)
         assert result.total_s > 0

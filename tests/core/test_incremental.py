@@ -4,9 +4,9 @@ import shutil
 
 import pytest
 
-from repro.core import SequentialOptimized
 from repro.core.incremental import IncrementalRunner
 from repro.core.registry import OPTIMIZED_ORDER
+from repro.engine import policy_by_name
 from tests.conftest import hash_tree, make_context
 
 
@@ -30,7 +30,7 @@ class TestIncrementalRunner:
         ref_ctx = make_context(tmp_path / "ref")
         for src in tiny_dataset_dir.glob("*.v1"):
             shutil.copy2(src, ref_ctx.workspace.input_dir / src.name)
-        SequentialOptimized().run(ref_ctx)
+        policy_by_name("seq-optimized").run(ref_ctx)
         assert hash_tree(incr_ctx.workspace.work_dir) == hash_tree(
             ref_ctx.workspace.work_dir
         )

@@ -6,17 +6,17 @@ import shutil
 
 import pytest
 
-from repro.core import FullyParallel, PartiallyParallel
 from repro.core.context import ParallelSettings
+from repro.engine import policy_by_name
 from tests.conftest import SINGLE_EVENT, hash_tree, make_context, tiny_response_config
 
 
-def run_with(tmp_path_factory, dataset_dir, settings: ParallelSettings, impl_cls=FullyParallel):
+def run_with(tmp_path_factory, dataset_dir, settings: ParallelSettings, policy="full-parallel"):
     root = tmp_path_factory.mktemp("backend") / "ws"
     ctx = make_context(root, parallel=settings)
     for src in dataset_dir.glob("*.v1"):
         shutil.copy2(src, ctx.workspace.input_dir / src.name)
-    impl_cls().run(ctx)
+    policy_by_name(policy).run(ctx)
     return hash_tree(ctx.workspace.work_dir)
 
 
@@ -83,6 +83,6 @@ class TestBackendEquivalence:
             tmp_path_factory,
             single_dataset_dir,
             ParallelSettings(num_workers=3),
-            impl_cls=PartiallyParallel,
+            policy="partial-parallel",
         )
         assert partial == serial_reference

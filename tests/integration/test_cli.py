@@ -1,4 +1,4 @@
-"""Tests for the repro-process / repro-bench command-line entry points."""
+"""Tests for the command-line entry points."""
 
 import shutil
 
@@ -120,10 +120,16 @@ class TestBenchCli:
     def test_schedule_render(self, tmp_path, capsys):
         out = tmp_path / "sched.ps"
         rc = main_bench(
-            ["schedule", "--render", str(out), "--implementation", "wavefront-parallel"]
+            ["schedule", "--render", str(out), "--policy", "wavefront-parallel"]
         )
         assert rc == 0
         assert out.exists()
+
+    def test_schedule_rejects_a_policy_the_simulator_cannot_replay(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main_bench(["schedule", "--policy", "dag-parallel"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'dag-parallel'" in capsys.readouterr().err
 
     def test_measured_single_event(self, capsys):
         assert main_bench(["measured", "--scale", "0.005"]) == 0
@@ -144,3 +150,32 @@ class TestBenchCli:
         assert main_process(args) == 0
         out = capsys.readouterr().out
         assert "incremental" in out
+
+
+class TestPolicyTyposAreUsageErrors:
+    """A misspelt policy exits 2 with argparse usage, not a traceback."""
+
+    def test_profile(self, capsys):
+        from repro.observability.profile_cli import main_profile
+
+        with pytest.raises(SystemExit) as exc:
+            main_profile(["--policy", "ful-parallel"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'ful-parallel'" in capsys.readouterr().err
+
+    def test_chaos(self, capsys):
+        from repro.cli import main_chaos
+
+        with pytest.raises(SystemExit) as exc:
+            main_chaos(["--policies", "seq-original", "ful-parallel"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'ful-parallel'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["record", "check", "explain"])
+    def test_perf(self, capsys, command):
+        from repro.observability.perf import main_perf
+
+        with pytest.raises(SystemExit) as exc:
+            main_perf([command, "--policies", "seq-original,ful-parallel"])
+        assert exc.value.code == 2
+        assert "did you mean 'full-parallel'?" in capsys.readouterr().err

@@ -7,12 +7,7 @@ import shutil
 
 import pytest
 
-from repro.core import (
-    FullyParallel,
-    PartiallyParallel,
-    SequentialOptimized,
-    SequentialOriginal,
-)
+from repro.engine import PAPER_POLICIES, policy_by_name
 from tests.conftest import hash_tree, make_context
 
 
@@ -20,13 +15,13 @@ from tests.conftest import hash_tree, make_context
 def all_runs(tmp_path_factory, tiny_dataset_dir):
     """Run every implementation once on identical inputs."""
     results = {}
-    for impl_cls in (SequentialOriginal, SequentialOptimized, PartiallyParallel, FullyParallel):
-        root = tmp_path_factory.mktemp(f"eq-{impl_cls.name}") / "ws"
+    for name in PAPER_POLICIES:
+        root = tmp_path_factory.mktemp(f"eq-{name}") / "ws"
         ctx = make_context(root)
         for src in tiny_dataset_dir.glob("*.v1"):
             shutil.copy2(src, ctx.workspace.input_dir / src.name)
-        result = impl_cls().run(ctx)
-        results[impl_cls.name] = (ctx, result)
+        result = policy_by_name(name).run(ctx)
+        results[name] = (ctx, result)
     return results
 
 

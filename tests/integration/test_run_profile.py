@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.core import SequentialOriginal
+from repro.engine import policy_by_name
 from repro.spectra.response import ResponseSpectrumConfig, default_periods
 from tests.conftest import make_context
 
@@ -21,7 +21,7 @@ def profiled_run(tmp_path_factory, tiny_dataset_dir):
     )
     for src in tiny_dataset_dir.glob("*.v1"):
         shutil.copy2(src, ctx.workspace.input_dir / src.name)
-    return SequentialOriginal().run(ctx)
+    return policy_by_name("seq-original").run(ctx)
 
 
 class TestRealCostHierarchy:

@@ -310,7 +310,7 @@ class TestExplain:
         assert main_perf(
             [
                 "explain", "--event", "EV-NOV18",
-                "--implementations", "seq-original,full-parallel",
+                "--policies", "seq-original,full-parallel",
                 "--scale", "0.02", "--periods", "8", "--workers", "2",
                 "--hz", "150",
             ]

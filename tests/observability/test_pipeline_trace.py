@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import FullyParallel, SequentialOptimized, WavefrontParallel
 from repro.core.context import ParallelSettings
 from repro.core.stages import STAGES
+from repro.engine import policy_by_name
 from repro.observability.export import to_chrome_trace, write_chrome_trace
 from repro.observability.tracer import Tracer
 
@@ -31,7 +31,7 @@ def dataset_dir(tmp_path_factory: pytest.TempPathFactory) -> Path:
     return directory
 
 
-def traced_run(tmp_path: Path, dataset_dir: Path, impl, backend: str):
+def traced_run(tmp_path: Path, dataset_dir: Path, policy: str, backend: str):
     ctx = make_context(
         tmp_path / "ws",
         parallel=ParallelSettings.uniform(backend, num_workers=2),
@@ -39,7 +39,7 @@ def traced_run(tmp_path: Path, dataset_dir: Path, impl, backend: str):
     for src in dataset_dir.glob("*.v1"):
         shutil.copy2(src, ctx.workspace.input_dir / src.name)
     ctx.tracer = Tracer()
-    return impl.run(ctx)
+    return policy_by_name(policy).run(ctx)
 
 
 def assert_trace_matches_result(result) -> None:
@@ -58,7 +58,7 @@ def assert_trace_matches_result(result) -> None:
 def test_full_parallel_trace_all_backends(
     tmp_path: Path, dataset_dir: Path, backend: str
 ) -> None:
-    result = traced_run(tmp_path, dataset_dir, FullyParallel(), backend)
+    result = traced_run(tmp_path, dataset_dir, "full-parallel", backend)
     trace = result.trace
     assert_trace_matches_result(result)
 
@@ -96,7 +96,7 @@ def test_full_parallel_trace_all_backends(
 
 
 def test_sequential_trace_has_process_spans(tmp_path: Path, dataset_dir: Path) -> None:
-    result = traced_run(tmp_path, dataset_dir, SequentialOptimized(), "serial")
+    result = traced_run(tmp_path, dataset_dir, "seq-optimized", "serial")
     assert_trace_matches_result(result)
     trace = result.trace
     processes = trace.by_kind("process")
@@ -109,7 +109,7 @@ def test_sequential_trace_has_process_spans(tmp_path: Path, dataset_dir: Path) -
 
 
 def test_wavefront_trace(tmp_path: Path, dataset_dir: Path) -> None:
-    result = traced_run(tmp_path, dataset_dir, WavefrontParallel(), "thread")
+    result = traced_run(tmp_path, dataset_dir, "wavefront-parallel", "thread")
     assert_trace_matches_result(result)
     names = {s.name for s in result.trace.by_kind("stage")}
     assert names == {"prologue", "wavefront", "epilogue"}
@@ -118,7 +118,7 @@ def test_wavefront_trace(tmp_path: Path, dataset_dir: Path) -> None:
 
 def test_chrome_export_matches_result(tmp_path: Path, dataset_dir: Path) -> None:
     """The acceptance check, end to end through the JSON file."""
-    result = traced_run(tmp_path, dataset_dir, FullyParallel(), "thread")
+    result = traced_run(tmp_path, dataset_dir, "full-parallel", "thread")
     path = write_chrome_trace(tmp_path / "run.trace.json", result.trace)
     doc = json.loads(path.read_text())
     assert doc == to_chrome_trace(result.trace)
@@ -135,7 +135,7 @@ def test_untraced_run_has_no_trace(tmp_path: Path, dataset_dir: Path) -> None:
     ctx = make_context(tmp_path / "ws")
     for src in dataset_dir.glob("*.v1"):
         shutil.copy2(src, ctx.workspace.input_dir / src.name)
-    result = SequentialOptimized().run(ctx)
+    result = policy_by_name("seq-optimized").run(ctx)
     assert ctx.tracer is None
     assert result.trace is None
     assert result.stage_durations  # timing still reported

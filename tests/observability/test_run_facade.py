@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.core import RunContext, SequentialOptimized
 from repro.core.context import ParallelSettings
 from repro.parallel.backend import Backend
 
@@ -82,12 +82,6 @@ def test_profile_path_writes_speedscope(facade_workspace: Path, tmp_path: Path) 
         assert result.profile.attributed_fraction() >= 0.95
 
 
-def test_implementation_class_and_instance(facade_workspace: Path) -> None:
-    by_class = repro.run(facade_workspace, SequentialOptimized, response_periods=12)
-    by_instance = repro.run(facade_workspace, SequentialOptimized(), response_periods=12)
-    assert by_class.implementation == by_instance.implementation == "seq-optimized"
-
-
 def test_backend_accepts_enum(facade_workspace: Path) -> None:
     result = repro.run(
         facade_workspace, policy="seq-optimized", backend=Backend.SERIAL,
@@ -119,17 +113,18 @@ def test_unknown_policy_propagates() -> None:
         repro.run("anywhere", policy="bogus-policy")
 
 
-def test_implementation_string_deprecated(facade_workspace: Path) -> None:
-    # The pre-engine positional spelling still runs, but warns with the
-    # policy= replacement.
-    with pytest.warns(DeprecationWarning, match="policy='seq-optimized'"):
+def test_positional_policy_does_not_warn(facade_workspace: Path) -> None:
+    # The quick start's spelling: the policy name as second argument.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
         result = repro.run(facade_workspace, "seq-optimized", response_periods=12)
     assert result.implementation == "seq-optimized"
 
 
-def test_implementation_and_policy_conflict(facade_workspace: Path) -> None:
-    with pytest.raises(ValueError, match="not both"):
-        repro.run(facade_workspace, "seq-optimized", policy="seq-optimized")
+def test_pipeline_implementation_is_not_a_policy(facade_workspace: Path) -> None:
+    pipeline = repro.policy_by_name("seq-optimized").pipeline()
+    with pytest.raises(ValueError, match="got EnginePipeline"):
+        repro.run(facade_workspace, pipeline)
 
 
 def test_facade_is_exported() -> None:

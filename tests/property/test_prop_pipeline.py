@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import FullyParallel, SequentialOptimized
 from repro.core.context import ParallelSettings
+from repro.engine import policy_by_name
 from repro.spectra.response import ResponseSpectrumConfig, default_periods
 from repro.synth.dataset import generate_event_dataset
 from repro.synth.events import EventSpec
@@ -53,10 +53,10 @@ class TestPipelinePropertyEquality:
     def test_parallel_equals_sequential(self, tmp_path_factory, event, workers):
         config = ResponseSpectrumConfig(periods=default_periods(8), dampings=(0.05,))
         trees = {}
-        for impl_cls in (SequentialOptimized, FullyParallel):
+        for name in ("seq-optimized", "full-parallel"):
             from repro.core import RunContext
 
-            root = tmp_path_factory.mktemp("prop-pipe") / impl_cls.name
+            root = tmp_path_factory.mktemp("prop-pipe") / name
             ctx = RunContext.for_directory(
                 root,
                 response_config=config,
@@ -65,8 +65,8 @@ class TestPipelinePropertyEquality:
             # Scale the event down: keep structure, shrink records.
             points = [max(600, p // 12) for p in event.file_points()]
             generate_event_dataset(event, ctx.workspace.input_dir, points_override=points)
-            impl_cls().run(ctx)
-            trees[impl_cls.name] = tree_hash(ctx.workspace.work_dir)
+            policy_by_name(name).run(ctx)
+            trees[name] = tree_hash(ctx.workspace.work_dir)
         a = trees["seq-optimized"]
         b = trees["full-parallel"]
         assert set(a) == set(b)

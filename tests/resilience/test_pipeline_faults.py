@@ -19,9 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import implementation_by_name
 from repro.core.context import ParallelSettings
 from repro.core.verify import compare_workspaces, verify_inventory
+from repro.engine import PAPER_POLICIES, policy_by_name
 from repro.errors import PipelineError
 from repro.observability.metrics import MetricsRegistry
 from repro.resilience import FaultPlan, FaultSpec
@@ -30,10 +30,6 @@ from repro.resilience.retry import RetryPolicy
 from tests.conftest import make_context
 
 POLICY = RetryPolicy(max_attempts=3, base_delay_s=0.0)
-
-IMPLEMENTATIONS = (
-    "seq-original", "seq-optimized", "partial-parallel", "full-parallel",
-)
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +51,7 @@ def run_with(tmp_path, dataset_dir, impl_name, plan, backend="thread"):
         shutil.copy2(src, ctx.workspace.input_dir / src.name)
     ctx.metrics = MetricsRegistry()
     ctx.resilience = plan
-    result = implementation_by_name(impl_name)().run(ctx)
+    result = policy_by_name(impl_name).run(ctx)
     return ctx, result
 
 
@@ -162,7 +158,7 @@ class TestMatrixConvergence:
             "\n".join(r.describe() for r in reports),
         )
 
-    @pytest.mark.parametrize("impl_name", IMPLEMENTATIONS)
+    @pytest.mark.parametrize("impl_name", PAPER_POLICIES)
     @pytest.mark.parametrize(
         "backend",
         ["thread", pytest.param("process", marks=pytest.mark.slow)],
