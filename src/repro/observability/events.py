@@ -13,11 +13,12 @@ The write path mirrors :mod:`repro.core.auditing` exactly: a
 appends JSON lines to its own per-(pid, thread) shard file
 (line-buffered, so a tail sees events within one write of real time),
 and pool workers need no coordination — the emission channel handed to
-the worker shims carries the workspace root, and the first emit in a
-fresh worker re-discovers the marker on disk.  Shards are merged on
-read with a deterministic total order: ``(t, pid, tid, seq)``, where
-``seq`` is each writer's own monotonic counter — so two reads of a
-finished log always agree, and ties cannot reorder one writer's events.
+the worker window of :mod:`repro.parallel.omp` carries the workspace
+root, and the first emit in a fresh worker re-discovers the marker on
+disk.  Shards are merged on read with a deterministic total order:
+``(t, pid, tid, seq)``, where ``seq`` is each writer's own monotonic
+counter — so two reads of a finished log always agree, and ties cannot
+reorder one writer's events.
 
 Unlike the audit log, the event log *survives* the run: ``repro-report``
 and the ledger read it afterwards, so :func:`release_events` closes the
@@ -209,9 +210,10 @@ def channel(span: str) -> tuple[str, str | None, str] | None:
     """A picklable ``(root, stage, span)`` emission channel, or ``None``.
 
     ``None`` unless an event-logged run is executing on this process —
-    the single check that keeps the disabled path free.  The tuple
-    crosses into pool workers, whose first :func:`emit_channel` call
-    re-activates the root from its on-disk marker.
+    the single check that keeps the disabled path free.  The tuple rides
+    in the worker window of every chunk and task, crossing into pool
+    workers, whose first :func:`emit_channel` call re-activates the
+    root from its on-disk marker.
     """
     root = installed_run()
     if root is None or root not in _ACTIVE:
@@ -265,7 +267,7 @@ def emit(root: Path | str, type_: str, **payload: Any) -> None:
 
 
 def emit_channel(chan: tuple | None, type_: str, **payload: Any) -> None:
-    """Emit through a :func:`channel` tuple (worker shims call this)."""
+    """Emit through a :func:`channel` tuple (the omp worker window calls this)."""
     if chan is None:
         return
     root, stage, span = chan

@@ -8,20 +8,20 @@ on the driver's :class:`~repro.core.context.RunContext`; every layer of
 the pipeline increments into it.
 
 Crossing process boundaries works like the tracer's span records, not
-like a shared-memory store: pool workers accumulate into a private
-*shard* opened by the worker shims of :mod:`repro.parallel.omp`
-(:func:`begin_worker_window` / :func:`drain_worker_shard`), the shard
-travels back with the chunk/task results, and the driver merges it with
-:meth:`MetricsRegistry.merge`.  Merging is associative and commutative
-and preserves histogram counts and sums exactly — the property suite
-checks this — so the merged registry is independent of scheduling
-order, chunking, and backend.
+like a shared-memory store: each chunk/task body accumulates into a
+private per-thread *shard* opened by the worker window of
+:mod:`repro.parallel.omp` (:func:`begin_worker_window` /
+:func:`drain_worker_shard`), the shard travels back with the chunk/task
+results, and the driver merges it with :meth:`MetricsRegistry.merge`.
+Merging is associative and commutative and preserves histogram counts
+and sums exactly — the property suite checks this — so the merged
+registry is independent of scheduling order, chunking, and backend.
 
 Instrumentation helpers (:func:`record_io`, :func:`record_points`,
 :func:`record_process`) route through :func:`recording_registry`, which
-resolves to the driver's installed registry in-process and to the open
-worker shard inside pool processes; with neither present they are
-no-ops, so instrumented code costs one dict lookup when metrics are
+resolves to the driver's installed registry in-process and to the
+calling thread's open worker shard otherwise; with neither present they
+are no-ops, so instrumented code costs one dict lookup when metrics are
 off.
 """
 
@@ -367,14 +367,18 @@ def _labels_text(labels: dict[str, str]) -> str:
 #
 # Driver side: ``collecting(registry)`` installs the run's registry for
 # the duration; instrumented code anywhere on the driver's threads
-# reaches it through ``recording_registry()``.  Worker side: the omp
-# shims bracket each chunk/task with ``begin_worker_window()`` /
-# ``drain_worker_shard()`` and ship the shard home.  Both slots are
-# pid-guarded so state inherited across a fork (process pools fork
-# lazily) is treated as absent rather than silently written to.
+# reaches it through ``recording_registry()``.  Everywhere else, the
+# worker window of :mod:`repro.parallel.omp` brackets each chunk/task
+# body with ``begin_worker_window`` / ``drain_worker_shard`` and
+# ships the shard home.  The window slot is per thread, so concurrent
+# pool threads each fill their own shard, and a window opened inside
+# another (a serial loop inside a serial task) resumes the outer one
+# when it drains.  Both slots are pid-guarded so state inherited across
+# a fork (process pools fork lazily) is treated as absent rather than
+# silently written to.
 
 _installed: tuple[MetricsRegistry, int] | None = None
-_window: tuple[MetricsRegistry, int] | None = None
+_window = threading.local()
 
 
 @contextmanager
@@ -403,37 +407,43 @@ def installed_registry() -> MetricsRegistry | None:
     return None
 
 
-def begin_worker_window() -> None:
-    """Open a fresh worker shard (called by the omp worker shims).
+def _current_window() -> tuple[MetricsRegistry, int, Any] | None:
+    """This thread's open ``(shard, pid, outer)`` window, if any."""
+    slot = getattr(_window, "slot", None)
+    if slot is not None and slot[1] == os.getpid():
+        return slot
+    return None
 
-    Discards anything a previous window on this process left behind, so
-    a pool worker reused across runs cannot leak stale counts into a
-    later shard.
+
+def begin_worker_window() -> None:
+    """Open a fresh shard for the calling thread (the omp worker window
+    calls this around every chunk/task body).
+
+    A window still open on this thread (only in-process nesting leaves
+    one) resumes when this one drains.
     """
-    global _window
-    _window = (MetricsRegistry(), os.getpid())
+    _window.slot = (MetricsRegistry(), os.getpid(), _current_window())
 
 
 def drain_worker_shard() -> dict[str, Any] | None:
-    """Close the worker window and return its shard (None if empty)."""
-    global _window
-    if _window is None or _window[1] != os.getpid():
+    """Close this thread's window and return its shard (None if empty)."""
+    slot = _current_window()
+    if slot is None:
         return None
-    registry, _ = _window
-    _window = None
+    registry, _, outer = slot
+    _window.slot = outer
     shard = registry.to_dict()
     return shard if shard["metrics"] else None
 
 
 def recording_registry() -> MetricsRegistry | None:
-    """Wherever the current process should record: the driver-installed
-    registry first, else the open worker window, else nowhere."""
+    """Wherever the current thread should record: the driver-installed
+    registry first, else its open worker window, else nowhere."""
     registry = installed_registry()
     if registry is not None:
         return registry
-    if _window is not None and _window[1] == os.getpid():
-        return _window[0]
-    return None
+    slot = _current_window()
+    return slot[0] if slot is not None else None
 
 
 # -- instrumentation helpers ----------------------------------------------

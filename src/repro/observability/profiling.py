@@ -9,7 +9,7 @@ span attribution: each sampled thread is tagged with the stage,
 process ``PXX``, implementation, backend and loop span that were active
 on it, resolved from the tracer's live per-thread span stacks
 (driver threads) or from the explicit label registrations the worker
-shims of :mod:`repro.parallel.omp` make around each chunk/task body.
+window of :mod:`repro.parallel.omp` makes around each chunk/task body.
 
 Crossing process boundaries works exactly like the metric shards of
 :mod:`repro.observability.metrics`: pool workers run their own private
@@ -467,7 +467,8 @@ class SamplingProfiler:
 
         The parallel runtime calls this on the driver thread when a
         loop starts, capturing run/stage/process attribution to hand
-        to worker shims whose threads have no span stack of their own.
+        to the worker window, whose threads have no span stack of their
+        own.
         """
         if self._tracer is None:
             return {}
@@ -527,10 +528,10 @@ class SamplingProfiler:
 # -- collection plumbing ---------------------------------------------------
 #
 # Mirrors the metrics module: the driver installs its profiler for the
-# run's duration; worker shims bracket each chunk/task with
-# begin_worker_profile / drain_worker_profile.  In-process (serial and
-# thread backends) the driver's sampler already sees the worker
-# threads, so the window just registers attribution labels for them;
+# run's duration; the omp worker window brackets each chunk/task body
+# with begin_worker_profile / drain_worker_profile.  In-process (serial
+# and thread backends) the driver's sampler already sees the body's
+# thread, so the window just registers attribution labels for it;
 # in pool processes a private per-process sampler records into a
 # swappable window profile that ships home as a shard.  All slots are
 # pid-guarded so state inherited across a fork is treated as absent.

@@ -19,7 +19,7 @@ Two halves:
 
 from repro.parallel.backend import Backend, available_backends, resolve_workers
 from repro.parallel.chunks import Schedule, chunk_indices
-from repro.parallel.omp import TaskGroup, parallel_for, parallel_for_chunked
+from repro.parallel.omp import TaskGroup, parallel_for
 from repro.parallel.timing import StageTiming, TaskRecord, Timer
 from repro.parallel.simulate import (
     SimTask,
@@ -37,7 +37,6 @@ __all__ = [
     "chunk_indices",
     "TaskGroup",
     "parallel_for",
-    "parallel_for_chunked",
     "StageTiming",
     "TaskRecord",
     "Timer",

@@ -12,15 +12,20 @@ I/O-heavy and plotting stages (file reads/writes release the GIL); the
 ``process`` backend suits FLOPS-heavy stages and requires picklable
 functions and arguments — the pipeline's process bodies are module-
 level functions operating on paths, which pickle fine.
+
+Every chunk and every task, on every backend, runs inside one worker
+window (:func:`_windowed`): the driver hands it a picklable
+:class:`_Window`, the body runs wherever the backend puts it (driver
+thread, pool thread or pool process), and the window returns the
+body's value with an *envelope* — the body's self-measured timing plus
+its drained metrics and profile shards — which the driver ingests
+through one fold (:class:`_Fold`).
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import time
 from concurrent.futures import (
-    FIRST_COMPLETED,
     FIRST_EXCEPTION,
     Executor,
     ProcessPoolExecutor,
@@ -29,56 +34,23 @@ from concurrent.futures import (
 )
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
-from repro.errors import ParallelError
+from repro.observability.events import channel, emit_channel
+from repro.observability.metrics import (
+    MetricsRegistry,
+    begin_worker_window,
+    drain_worker_shard,
+)
+from repro.observability.profiling import (
+    begin_worker_profile,
+    drain_worker_profile,
+    installed_profiler,
+    merge_profile_shard,
+)
+from repro.observability.tracer import Span, Tracer, worker_label
 from repro.parallel.backend import Backend, resolve_workers
 from repro.parallel.chunks import Schedule, chunk_indices
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.observability.metrics import MetricsRegistry
-    from repro.observability.tracer import Span, Tracer
-
-
-def _worker_label() -> str:
-    """Executing worker's identity (duplicated from the tracer module
-    so worker shims stay importable without the observability layer)."""
-    return f"{os.getpid()}:{threading.current_thread().name}"
-
-
-def _profile_channel(name: str, backend: Backend) -> tuple | None:
-    """``(hz, labels)`` when a sampling profiler is installed here.
-
-    The labels — the driver thread's span attribution at loop start,
-    plus the loop's span name and backend — are computed once and
-    handed to every worker shim, so samples taken in pool processes
-    come home fully attributed.  ``None`` (one pid-guarded global read)
-    when no profiler is installed.
-    """
-    from repro.observability.profiling import installed_profiler
-
-    profiler = installed_profiler()
-    if profiler is None:
-        return None
-    labels = profiler.labels_here()
-    labels["span"] = name
-    labels["backend"] = backend.value
-    return (profiler.hz, labels)
-
-
-def _events_channel(name: str) -> tuple | None:
-    """``(root, stage, span)`` when a live event log is being written.
-
-    Computed once on the driver (the enclosing stage label comes from
-    the engine's stage scope) and handed to every worker shim, which
-    emits ``unit_finished``/``task_finished`` events straight into its
-    own shard — live even on the process backend, where results only
-    come home at the barrier.  ``None`` (one pid-guarded global read)
-    when no event-logged run is executing.
-    """
-    from repro.observability.events import channel
-
-    return channel(name)
 
 
 @contextmanager
@@ -106,218 +78,209 @@ def shared_executor(
         pool.shutdown(wait=True)
 
 
-def _run_chunk(func: Callable[[Any], Any], items: Sequence[Any], indices: range) -> list[Any]:
-    """Apply ``func`` to one chunk of items (runs inside a worker)."""
-    return [func(items[i]) for i in indices]
+# -- the worker window -----------------------------------------------------
 
 
-def _run_chunk_traced(
-    func: Callable[[Any], Any], items: Sequence[Any], indices: range, epoch: float,
-    collect_shard: bool = False, profile: tuple | None = None,
-    events: tuple | None = None,
-) -> tuple[list[Any], dict[str, Any], dict[str, Any] | None]:
-    """:func:`_run_chunk` plus a self-measured span record.
+class _Window(NamedTuple):
+    """What one loop or task hands to every body it runs (picklable).
 
-    Runs inside the worker — possibly in another process, where the
-    tracer object does not exist — so the measurement travels back with
-    the results and the caller ingests it via ``Tracer.record``.  With
-    ``collect_shard``, a metrics window brackets the body and the
-    drained shard rides along for ``MetricsRegistry.merge`` (empty on
-    the thread backend, where the body wrote to the driver's registry
-    directly).  With ``profile`` (``(hz, labels)``), a profiling window
-    brackets the body the same way; the drained profile shard rides
-    home inside the record under the ``"profile"`` key.
+    ``kind`` is ``"chunk"`` or ``"task"``; ``epoch`` anchors span start
+    times to the tracer's clock; ``collect`` opens a metrics shard;
+    ``profile`` is the ``(hz, labels)`` profile channel and ``events``
+    the :func:`~repro.observability.events.channel` tuple, each
+    ``None`` when that telemetry is off.
     """
-    shard = None
-    token = None
-    if profile is not None:
-        from repro.observability.profiling import begin_worker_profile
 
-        token = begin_worker_profile(*profile)
-    if collect_shard:
-        from repro.observability.metrics import begin_worker_window, drain_worker_shard
+    kind: str
+    epoch: float
+    collect: bool
+    profile: tuple | None
+    events: tuple | None
 
+
+def _open_window(
+    kind: str, name: str, backend: Backend, tracer: Tracer | None,
+    metrics: MetricsRegistry | None,
+) -> _Window:
+    """Build the window for one loop or task on the driver thread.
+
+    The profile labels — the driver thread's span attribution now, plus
+    the span name and backend — are computed once here, so samples
+    taken in pool processes come home fully attributed.  The events
+    channel carries the enclosing stage label the same way.  Both are
+    one pid-guarded global read when their telemetry is off.
+    """
+    profile = None
+    profiler = installed_profiler()
+    if profiler is not None:
+        labels = profiler.labels_here()
+        labels["span"] = name
+        labels["backend"] = backend.value
+        profile = (profiler.hz, labels)
+    epoch = tracer.epoch if tracer is not None else time.time()
+    return _Window(kind, epoch, metrics is not None, profile, channel(name))
+
+
+def _windowed(
+    window: _Window, body: Callable[..., Any], /, *args: Any, **kwargs: Any
+) -> tuple[Any, dict[str, Any]]:
+    """Run ``body(*args, **kwargs)`` inside ``window``; ``(value, envelope)``.
+
+    Runs wherever the body runs — possibly in another process, where
+    the driver's tracer, registry and profiler do not exist — so the
+    body measures itself and the measurement travels back with its
+    value.  The envelope holds ``start_s``, ``duration_s`` and
+    ``worker``, plus the drained ``"metrics"`` and ``"profile"`` shards
+    when non-empty.  The window emits ``unit_finished`` (chunks) or
+    ``task_finished`` (tasks) straight into the event log, live even on
+    the process backend.  A body that raises propagates unchanged,
+    after both shards are drained.
+    """
+    token = begin_worker_profile(*window.profile) if window.profile is not None else None
+    if window.collect:
         begin_worker_window()
     start_wall = time.time()
     t0 = time.perf_counter()
-    prof_shard = None
+    shard = profile = None
     try:
-        values = [func(items[i]) for i in indices]
+        value = body(*args, **kwargs)
     finally:
-        if collect_shard:
+        if window.collect:
             shard = drain_worker_shard()
         if token is not None:
-            from repro.observability.profiling import drain_worker_profile
-
-            prof_shard = drain_worker_profile(token)
-    record = {
-        "start_s": start_wall - epoch,
+            profile = drain_worker_profile(token)
+    envelope = {
+        "start_s": start_wall - window.epoch,
         "duration_s": time.perf_counter() - t0,
-        "worker": _worker_label(),
+        "worker": worker_label(),
     }
-    if prof_shard:
-        record["profile"] = prof_shard
-    if events is not None:
-        from repro.observability.events import emit_channel
-
-        emit_channel(events, "unit_finished", count=len(values),
-                     duration_s=record["duration_s"], worker=record["worker"])
-    return values, record, shard
-
-
-def _run_task_traced(
-    func: Callable[..., Any], epoch: float, args: tuple, kwargs: dict,
-    collect_shard: bool = False, profile: tuple | None = None,
-    events: tuple | None = None,
-) -> tuple[Any, dict[str, Any], dict[str, Any] | None]:
-    """Run one task in a worker, returning its self-measured span record."""
-    shard = None
-    token = None
-    if profile is not None:
-        from repro.observability.profiling import begin_worker_profile
-
-        token = begin_worker_profile(*profile)
-    if collect_shard:
-        from repro.observability.metrics import begin_worker_window, drain_worker_shard
-
-        begin_worker_window()
-    start_wall = time.time()
-    t0 = time.perf_counter()
-    prof_shard = None
-    try:
-        value = func(*args, **kwargs)
-    finally:
-        if collect_shard:
-            shard = drain_worker_shard()
-        if token is not None:
-            from repro.observability.profiling import drain_worker_profile
-
-            prof_shard = drain_worker_profile(token)
-    record = {
-        "start_s": start_wall - epoch,
-        "duration_s": time.perf_counter() - t0,
-        "worker": _worker_label(),
-    }
-    if prof_shard:
-        record["profile"] = prof_shard
-    if events is not None:
-        from repro.observability.events import emit_channel
-
-        emit_channel(events, "task_finished",
-                     duration_s=record["duration_s"], worker=record["worker"])
-    return value, record, shard
-
-
-def _record_chunk_metrics(
-    metrics: tuple, record: dict[str, Any], shard: dict[str, Any] | None, size: int
-) -> None:
-    """Fold one chunk's measurement (and worker shard) into the registry."""
-    registry, name, backend, schedule = metrics
-    registry.counter(
-        "repro_parallel_chunks_total",
-        help="Chunks scheduled by parallel_for, per loop span.",
-        span=name, backend=backend, schedule=schedule,
-    ).inc(1)
-    registry.counter(
-        "repro_parallel_items_total",
-        help="Loop items executed by parallel_for, per loop span.",
-        span=name,
-    ).inc(size)
-    registry.histogram(
-        "repro_parallel_chunk_duration_seconds",
-        help="Wall-clock per scheduled chunk.",
-        span=name,
-    ).observe(record["duration_s"])
-    registry.counter(
-        "repro_parallel_worker_busy_seconds_total",
-        help="Summed chunk/task wall-clock per worker.",
-        worker=record["worker"],
-    ).inc(record["duration_s"])
     if shard:
-        registry.merge(shard)
+        envelope["metrics"] = shard
+    if profile:
+        envelope["profile"] = profile
+    if window.events is not None:
+        if window.kind == "chunk":
+            emit_channel(window.events, "unit_finished", count=_executed(value),
+                         duration_s=envelope["duration_s"], worker=envelope["worker"])
+        else:
+            emit_channel(window.events, "task_finished",
+                         duration_s=envelope["duration_s"], worker=envelope["worker"])
+    return value, envelope
 
 
-def _fold_chunk(
-    trace: tuple | None, metrics: tuple | None, chunk: range,
-    record: dict[str, Any], shard: dict[str, Any] | None, size: int | None = None,
-) -> None:
-    """Ingest one chunk's span record, metrics shard and profile shard."""
-    prof_shard = record.pop("profile", None)
-    if prof_shard:
-        from repro.observability.profiling import merge_profile_shard
+@dataclass
+class _Fold:
+    """Driver-side ingestion of envelopes, one per loop or task group.
 
-        merge_profile_shard(prof_shard)
-    if trace is not None:
-        tracer, span_name, parent, _ = trace
-        tracer.record(
-            span_name,
-            kind="chunk",
-            parent=parent,
-            chunk_start=chunk.start,
-            size=len(chunk),
-            **record,
-        )
-    if metrics is not None:
-        _record_chunk_metrics(metrics, record, shard, size if size is not None else len(chunk))
-
-
-def _drain(pool: Executor, func: Callable, items: Sequence[Any], chunks: list[range],
-           results: list[Any], trace: tuple | None = None,
-           metrics: tuple | None = None, profile: tuple | None = None,
-           events: tuple | None = None) -> None:
-    """Submit all chunks, wait, propagate the first failure.
-
-    ``trace`` is ``(tracer, span_name, parent_span, epoch)`` when chunk
-    spans should be collected; ``metrics`` is ``(registry, span_name,
-    backend, schedule)`` when chunk counters and worker shards should
-    be; ``profile`` is ``(hz, labels)`` when worker profile shards
-    should be.  Any of them switches to the instrumented shim, whose
-    ``(values, record, shard)`` triples are folded in after the barrier.
-
-    On failure, chunks not yet started are cancelled and chunks already
-    running are *waited for* before the exception propagates — a shared
-    executor must come back quiescent, not with orphaned chunks still
-    mutating the workspace under the caller's error handling.  Span
-    records and metrics shards of every chunk that did complete are
-    folded in first, so observability stays accurate for partial runs.
+    ``tracer`` is ``None`` when tracing is off; ``parent`` is the span
+    open on the driver when the loop or group began.
     """
-    instrumented = (
-        trace is not None or metrics is not None or profile is not None
-        or events is not None
-    )
-    if not instrumented:
-        futures = {pool.submit(_run_chunk, func, items, chunk): chunk for chunk in chunks}
-    else:
-        epoch = trace[3] if trace is not None else time.time()
-        futures = {
-            pool.submit(
-                _run_chunk_traced, func, items, chunk, epoch, metrics is not None,
-                profile, events,
-            ): chunk
-            for chunk in chunks
-        }
-    done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-    failed = next((f for f in done if f.exception() is not None), None)
-    if failed is not None:
-        for f in not_done:
-            f.cancel()
-        if not_done:
-            wait(not_done)
-        for future, chunk in futures.items():
-            if future.cancelled() or future.exception() is not None:
-                continue
-            values = future.result()
-            if instrumented:
-                _, record, shard = values
-                _fold_chunk(trace, metrics, chunk, record, shard)
-        raise failed.exception()
-    for future, chunk in futures.items():
-        values = future.result()
-        if instrumented:
-            values, record, shard = values
-            _fold_chunk(trace, metrics, chunk, record, shard)
-        for i, value in zip(chunk, values):
-            results[i] = value
+
+    kind: str
+    backend: str
+    tracer: Tracer | None
+    registry: MetricsRegistry | None
+    schedule: str | None = None
+    parent: Span | None = field(init=False, default=None)
+
+    def __post_init__(self) -> None:
+        if self.tracer is not None:
+            self.parent = self.tracer.current()
+
+    def live_span(self, name: str, **attributes: Any):
+        """The span an in-process body runs under (spans it opens nest)."""
+        if self.tracer is None:
+            return nullcontext()
+        return self.tracer.span(name, kind=self.kind, parent=self.parent, **attributes)
+
+    def __call__(
+        self, name: str, envelope: dict[str, Any], *, traced: bool = True,
+        executed: int = 1, **attributes: Any,
+    ) -> None:
+        """Ingest one envelope: span record (unless the span was recorded
+        live), metrics and profile shards, and the per-unit counters."""
+        merge_profile_shard(envelope.pop("profile", None))
+        shard = envelope.pop("metrics", None)
+        if traced and self.tracer is not None:
+            self.tracer.record(name, kind=self.kind, parent=self.parent,
+                               **attributes, **envelope)
+        registry = self.registry
+        if registry is None:
+            return
+        duration = envelope["duration_s"]
+        if self.kind == "chunk":
+            registry.counter(
+                "repro_parallel_chunks_total",
+                help="Chunks scheduled by parallel_for, per loop span.",
+                span=name, backend=self.backend, schedule=self.schedule,
+            ).inc(1)
+            registry.counter(
+                "repro_parallel_items_total",
+                help="Loop items executed by parallel_for, per loop span.",
+                span=name,
+            ).inc(executed)
+            registry.histogram(
+                "repro_parallel_chunk_duration_seconds",
+                help="Wall-clock per scheduled chunk.",
+                span=name,
+            ).observe(duration)
+        else:
+            registry.counter(
+                "repro_parallel_tasks_total",
+                help="Tasks run through TaskGroup.",
+                backend=self.backend,
+            ).inc(1)
+            registry.histogram(
+                "repro_parallel_task_duration_seconds",
+                help="Wall-clock per TaskGroup task.",
+                backend=self.backend,
+            ).observe(duration)
+        registry.counter(
+            "repro_parallel_worker_busy_seconds_total",
+            help="Summed chunk/task wall-clock per worker.",
+            worker=envelope["worker"],
+        ).inc(duration)
+        if shard:
+            registry.merge(shard)
+
+
+# -- loops -----------------------------------------------------------------
+
+
+def _executed(result: tuple[list[Any], int | None, Any]) -> int:
+    """Items a chunk body executed.  A failing item counts: the monitor's
+    progress matches the work actually attempted, and the retry events
+    of the resilience runtime account for the resubmission."""
+    values, failed, _ = result
+    return len(values) + (0 if failed is None else 1)
+
+
+def _run_chunk(
+    func: Callable[[Any], Any], items: Sequence[Any], indices: range,
+    attempt: int = 1, retryable: tuple = (), scope: Callable[[int], Any] | None = None,
+) -> tuple[list[Any], int | None, BaseException | None]:
+    """Apply ``func`` to one chunk, stopping at the first *retryable* failure.
+
+    Returns ``(values, failed_offset, error)``: on a retryable failure
+    ``values`` holds the results up to the failing item,
+    ``failed_offset`` is its position within ``indices``, and the
+    chunk's unstarted tail never ran (the driver resubmits both).
+    ``attempt`` is uniform across the chunk — initial chunks run at 1,
+    resubmissions are single-item chunks at the bumped number.  Other
+    exceptions propagate; with no ``retryable`` classes every exception
+    does, which is a plain loop.
+    """
+    values: list[Any] = []
+    for offset, i in enumerate(indices):
+        try:
+            if scope is None:
+                values.append(func(items[i]))
+            else:
+                with scope(attempt):
+                    values.append(func(items[i]))
+        except retryable as exc:
+            return values, offset, exc
+    return values, None, None
 
 
 @dataclass
@@ -375,142 +338,13 @@ class Isolation:
         return attempt + 1
 
 
-def _run_chunk_isolated(
-    func: Callable[[Any], Any], items: Sequence[Any], indices: range, attempt: int,
-    retryable: tuple, scope: Callable[[int], Any] | None, epoch: float,
-    collect_shard: bool = False, profile: tuple | None = None,
-    events: tuple | None = None,
-) -> tuple[list[Any], int | None, BaseException | None, dict[str, Any], dict[str, Any] | None]:
-    """Run one chunk, stopping at the first *retryable* failure.
-
-    Returns ``(values, failed_offset, error, record, shard)``: on a
-    retryable failure ``values`` holds the results up to the failing
-    item, ``failed_offset`` is its position within ``indices``, and the
-    chunk's unstarted tail never ran (the driver resubmits both).
-    ``attempt`` is uniform across the chunk — initial chunks run at 1,
-    resubmissions are single-item chunks at the bumped number.  Other
-    exceptions propagate exactly like :func:`_run_chunk_traced`.
-    """
-    shard = None
-    token = None
-    if profile is not None:
-        from repro.observability.profiling import begin_worker_profile
-
-        token = begin_worker_profile(*profile)
-    if collect_shard:
-        from repro.observability.metrics import begin_worker_window, drain_worker_shard
-
-        begin_worker_window()
-    start_wall = time.time()
-    t0 = time.perf_counter()
-    values: list[Any] = []
-    failed: int | None = None
-    error: BaseException | None = None
-    prof_shard = None
-    try:
-        for offset, i in enumerate(indices):
-            try:
-                if scope is not None:
-                    with scope(attempt):
-                        values.append(func(items[i]))
-                else:
-                    values.append(func(items[i]))
-            except retryable as exc:
-                failed, error = offset, exc
-                break
-    finally:
-        if collect_shard:
-            shard = drain_worker_shard()
-        if token is not None:
-            from repro.observability.profiling import drain_worker_profile
-
-            prof_shard = drain_worker_profile(token)
-    record = {
-        "start_s": start_wall - epoch,
-        "duration_s": time.perf_counter() - t0,
-        "worker": _worker_label(),
-    }
-    if prof_shard:
-        record["profile"] = prof_shard
-    if events is not None:
-        from repro.observability.events import emit_channel
-
-        # The failing item counts as executed: the monitor's progress
-        # matches the work actually attempted, and the retry events the
-        # resilience runtime emits account for the resubmission.
-        emit_channel(events, "unit_finished",
-                     count=len(values) + (0 if failed is None else 1),
-                     duration_s=record["duration_s"], worker=record["worker"])
-    return values, failed, error, record, shard
 
 
-def _drain_isolated(
-    pool: Executor, func: Callable, items: Sequence[Any], chunks: list[range],
-    results: list[Any], isolation: Isolation,
-    trace: tuple | None = None, metrics: tuple | None = None,
-    profile: tuple | None = None, events: tuple | None = None,
-) -> None:
-    """:func:`_drain` with per-item failure isolation and resubmission.
-
-    Completion-driven rather than a single barrier: each finished chunk
-    is folded as it lands, a retryable casualty is resubmitted alone
-    (attempt N+1) alongside the chunk's unstarted tail (attempt 1), and
-    the loop ends when no futures remain.  Non-retryable exceptions
-    keep :func:`_drain`'s contract: cancel, settle, fold, raise.
-    """
-    epoch = trace[3] if trace is not None else time.time()
-    collect = metrics is not None
-    pending: dict[Any, tuple[range, int]] = {}
-
-    def submit(indices: range, attempt: int) -> None:
-        if len(indices) == 0:
-            return
-        future = pool.submit(
-            _run_chunk_isolated, func, items, indices, attempt,
-            isolation.retryable, isolation.attempt_scope, epoch, collect, profile,
-            events,
-        )
-        pending[future] = (indices, attempt)
-
-    for chunk in chunks:
-        submit(chunk, 1)
-    while pending:
-        done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-        for future in done:
-            indices, attempt = pending.pop(future)
-            if future.exception() is not None:
-                for f in pending:
-                    f.cancel()
-                if pending:
-                    wait(list(pending))
-                for f, (ind, _att) in pending.items():
-                    if f.cancelled() or f.exception() is not None:
-                        continue
-                    values, failed, _err, record, shard = f.result()
-                    executed = len(values) + (0 if failed is None else 1)
-                    _fold_chunk(trace, metrics, ind, record, shard, size=executed)
-                raise future.exception()
-            values, failed, error, record, shard = future.result()
-            executed = len(values) + (0 if failed is None else 1)
-            _fold_chunk(trace, metrics, indices, record, shard, size=executed)
-            for i, value in zip(indices, values):
-                results[i] = value
-            if failed is not None:
-                poisoned = indices[failed]
-                name = isolation.describe(items[poisoned])
-                next_attempt = isolation.handle_failure(name, error, attempt)
-                if next_attempt is not None:
-                    submit(indices[failed:failed + 1], next_attempt)
-                else:
-                    results[poisoned] = None
-                submit(indices[failed + 1:], 1)
-
-
-def _serial_chunk_isolated(
+def _retry_in_place(
     func: Callable[[Any], Any], items: Sequence[Any], indices: range,
     isolation: Isolation,
-) -> list[Any]:
-    """The serial-backend equivalent of isolated execution.
+) -> tuple[list[Any], None, None]:
+    """The serial backend's isolated chunk body, shaped like :func:`_run_chunk`.
 
     Retries happen in place (no resubmission machinery), with the same
     attempt numbering and callbacks, so retry counts and exhaustion
@@ -535,7 +369,71 @@ def _serial_chunk_isolated(
                     values.append(None)
                     break
                 attempt = next_attempt
-    return values
+    return values, None, None
+
+
+def _drain(
+    pool: Executor, func: Callable, items: Sequence[Any], chunks: list[range],
+    results: list[Any], window: _Window, fold: _Fold, name: str,
+    isolation: Isolation | None,
+) -> None:
+    """Run ``chunks`` on ``pool`` in rounds, folding every envelope.
+
+    Each round submits its chunks, waits once for all of them (or the
+    first exception) and folds every envelope that landed.  A retryable
+    casualty (attempt N+1) and its chunk's unstarted tail (attempt 1)
+    form the next round; a loop without failures is one round.
+
+    On a non-retryable failure, chunks not yet started are cancelled
+    and chunks already running are *waited for* before the exception
+    propagates — a shared executor must come back quiescent, not with
+    orphaned chunks still mutating the workspace under the caller's
+    error handling.  The envelopes of every chunk that did complete are
+    folded first, so observability stays accurate for partial runs.
+    """
+    retryable, scope = ((), None) if isolation is None else (
+        isolation.retryable, isolation.attempt_scope
+    )
+    batch = [(chunk, 1) for chunk in chunks]
+    while batch:
+        futures = {
+            pool.submit(_windowed, window, _run_chunk, func, items, indices,
+                        attempt, retryable, scope): (indices, attempt)
+            for indices, attempt in batch
+        }
+        done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
+        failed = next((f for f in done if f.exception() is not None), None)
+        if failed is not None:
+            for f in not_done:
+                f.cancel()
+            if not_done:
+                wait(not_done)
+        batch = []
+        for future, (indices, attempt) in futures.items():
+            if future.cancelled() or future.exception() is not None:
+                continue
+            result, envelope = future.result()
+            fold(name, envelope, executed=_executed(result),
+                 chunk_start=indices.start, size=len(indices))
+            if failed is not None:
+                continue
+            values, offset, error = result
+            for i, value in zip(indices, values):
+                results[i] = value
+            if offset is None:
+                continue
+            poisoned = indices[offset]
+            next_attempt = isolation.handle_failure(
+                isolation.describe(items[poisoned]), error, attempt
+            )
+            if next_attempt is None:
+                results[poisoned] = None
+            else:
+                batch.append((indices[offset:offset + 1], next_attempt))
+            if offset + 1 < len(indices):
+                batch.append((indices[offset + 1:], 1))
+        if failed is not None:
+            raise failed.exception()
 
 
 def parallel_for(
@@ -547,9 +445,9 @@ def parallel_for(
     schedule: Schedule | str = Schedule.DYNAMIC,
     chunk_size: int | None = None,
     executor: Executor | None = None,
-    tracer: "Tracer | None" = None,
+    tracer: Tracer | None = None,
     span: str | None = None,
-    metrics: "MetricsRegistry | None" = None,
+    metrics: MetricsRegistry | None = None,
     isolate: Isolation | None = None,
 ) -> list[Any]:
     """Map ``func`` over ``items`` in parallel, preserving order.
@@ -568,8 +466,9 @@ def parallel_for(
     With a ``metrics`` registry, every chunk increments the
     ``repro_parallel_*`` counter/histogram families, and metrics
     recorded *inside* the loop body (I/O bytes, points processed) find
-    their way back: directly on the thread backend, via per-chunk
-    worker shards merged after the barrier on the process backend.
+    their way back on every backend: directly when the registry is
+    installed in this process (:func:`~repro.observability.metrics.collecting`)
+    and the body runs here, via per-chunk worker shards otherwise.
 
     With an ``isolate`` policy (see :class:`Isolation`), retryable
     failures stop only the failing item — it is retried up to the
@@ -585,142 +484,37 @@ def parallel_for(
     workers = resolve_workers(num_workers)
     chunks = chunk_indices(n, workers, schedule, chunk_size)
 
-    trace: tuple | None = None
     name = span or getattr(func, "__name__", "parallel_for")
-    if tracer is not None and tracer.enabled:
-        trace = (tracer, name, tracer.current(), tracer.epoch)
-    metric: tuple | None = None
-    if metrics is not None:
-        metric = (metrics, name, backend.value, Schedule.coerce(schedule).value)
-    profile = _profile_channel(name, backend)
-    events = _events_channel(name)
-    if events is not None:
-        from repro.observability.events import emit_channel
-
+    if tracer is not None and not tracer.enabled:
+        tracer = None
+    window = _open_window("chunk", name, backend, tracer, metrics)
+    fold = _Fold("chunk", backend.value, tracer, metrics, Schedule.coerce(schedule).value)
+    if window.events is not None:
         # The driver announces the loop's size up front, so a live
         # monitor can draw a bounded progress bar before any chunk
         # lands.
-        emit_channel(events, "units_total", total=n, chunks=len(chunks),
+        emit_channel(window.events, "units_total", total=n, chunks=len(chunks),
                      backend=backend.value)
 
-    if executor is not None:
-        results: list[Any] = [None] * n
-        if isolate is not None:
-            _drain_isolated(executor, func, items, chunks, results, isolate,
-                            trace=trace, metrics=metric, profile=profile,
-                            events=events)
-        else:
-            _drain(executor, func, items, chunks, results, trace=trace,
-                   metrics=metric, profile=profile, events=events)
-        return results
-
-    if backend is Backend.SERIAL or workers == 1 or n == 1:
-        from repro.observability.profiling import labeled_thread
-
-        results = [None] * n
-        # Serial chunks run on the driver thread; register the loop's
-        # labels so the sampler attributes them like pool workers.
-        with labeled_thread(profile[1]) if profile is not None else nullcontext():
-            for chunk in chunks:
-                t0 = time.perf_counter()
-                if isolate is not None:
-                    if trace is not None:
-                        tracer_, name_, parent, _ = trace
-                        with tracer_.span(
-                            name_, kind="chunk", parent=parent,
-                            chunk_start=chunk.start, size=len(chunk),
-                        ):
-                            values = _serial_chunk_isolated(func, items, chunk, isolate)
-                    else:
-                        values = _serial_chunk_isolated(func, items, chunk, isolate)
-                elif trace is not None:
-                    tracer_, name_, parent, _ = trace
-                    with tracer_.span(
-                        name_, kind="chunk", parent=parent,
-                        chunk_start=chunk.start, size=len(chunk),
-                    ):
-                        values = _run_chunk(func, items, chunk)
-                else:
-                    values = _run_chunk(func, items, chunk)
-                if metric is not None:
-                    # Serial chunks run on the driver thread: body metrics
-                    # went straight to the registry; count the chunk here.
-                    record = {
-                        "duration_s": time.perf_counter() - t0,
-                        "worker": _worker_label(),
-                    }
-                    _record_chunk_metrics(metric, record, None, len(chunk))
-                if events is not None:
-                    emit_channel(events, "unit_finished", count=len(chunk),
-                                 duration_s=time.perf_counter() - t0,
-                                 worker=_worker_label())
-                for i, value in zip(chunk, values):
-                    results[i] = value
-        return results
-
-    pool_cls = ThreadPoolExecutor if backend is Backend.THREAD else ProcessPoolExecutor
-    results = [None] * n
-    with pool_cls(max_workers=min(workers, len(chunks))) as pool:
-        if isolate is not None:
-            _drain_isolated(pool, func, items, chunks, results, isolate,
-                            trace=trace, metrics=metric, profile=profile,
-                            events=events)
-        else:
-            _drain(pool, func, items, chunks, results, trace=trace,
-                   metrics=metric, profile=profile, events=events)
-    return results
-
-
-def parallel_for_chunked(
-    func: Callable[[Sequence[Any]], list[Any]],
-    items: Sequence[Any],
-    *,
-    backend: Backend | str = Backend.THREAD,
-    num_workers: int | None = None,
-    schedule: Schedule | str = Schedule.STATIC,
-    chunk_size: int | None = None,
-) -> list[Any]:
-    """Like :func:`parallel_for` but ``func`` receives whole chunks.
-
-    For bodies with per-call setup worth amortizing (opening shared
-    files, building filter taps); ``func`` must return one result per
-    input item, in order — violations raise :class:`ParallelError`.
-    """
-    backend = Backend.coerce(backend)
-    items = list(items)
-    n = len(items)
-    if n == 0:
-        return []
-    workers = resolve_workers(num_workers)
-    chunks = chunk_indices(n, workers, schedule, chunk_size)
-
-    def run(indices: range) -> list[Any]:
-        out = func([items[i] for i in indices])
-        if len(out) != len(indices):
-            raise ParallelError(
-                f"chunked body returned {len(out)} results for {len(indices)} items"
-            )
-        return out
-
     results: list[Any] = [None] * n
-    if backend is Backend.SERIAL or workers == 1:
+    if executor is not None:
+        _drain(executor, func, items, chunks, results, window, fold, name, isolate)
+    elif backend is Backend.SERIAL or workers == 1 or n == 1:
+        # In-process chunks run under a live span, so spans the body
+        # opens nest under their chunk; the fold then skips the record.
         for chunk in chunks:
-            for i, value in zip(chunk, run(chunk)):
+            body = (_run_chunk, func, items, chunk) if isolate is None else (
+                _retry_in_place, func, items, chunk, isolate
+            )
+            with fold.live_span(name, chunk_start=chunk.start, size=len(chunk)):
+                result, envelope = _windowed(window, *body)
+            fold(name, envelope, traced=False, executed=_executed(result))
+            for i, value in zip(chunk, result[0]):
                 results[i] = value
-        return results
-
-    pool_cls = ThreadPoolExecutor if backend is Backend.THREAD else ProcessPoolExecutor
-    with pool_cls(max_workers=min(workers, len(chunks))) as pool:
-        futures = {pool.submit(run, chunk): chunk for chunk in chunks}
-        done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-        failed = next((f for f in done if f.exception() is not None), None)
-        if failed is not None:
-            for f in not_done:
-                f.cancel()
-            raise failed.exception()
-        for future, chunk in futures.items():
-            for i, value in zip(chunk, future.result()):
-                results[i] = value
+    else:
+        pool_cls = ThreadPoolExecutor if backend is Backend.THREAD else ProcessPoolExecutor
+        with pool_cls(max_workers=min(workers, len(chunks))) as pool:
+            _drain(pool, func, items, chunks, results, window, fold, name, isolate)
     return results
 
 
@@ -736,7 +530,8 @@ class TaskGroup:
         results = tg.results  # in submission order
 
     A failing task propagates its exception at the barrier (and on
-    :meth:`taskwait`).
+    :meth:`taskwait`) on every backend; tasks submitted after it still
+    run.
 
     With a ``tracer``, every task becomes a ``task`` span (named by the
     ``span_name=`` keyword of :meth:`task`, default the function name)
@@ -748,60 +543,21 @@ class TaskGroup:
         *,
         backend: Backend | str = Backend.THREAD,
         num_workers: int | None = None,
-        tracer: "Tracer | None" = None,
-        metrics: "MetricsRegistry | None" = None,
+        tracer: Tracer | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.backend = Backend.coerce(backend)
         self.num_workers = resolve_workers(num_workers)
         self._pool: ThreadPoolExecutor | ProcessPoolExecutor | None = None
-        #: ``(future, span_name, instrumented)`` per submitted task;
-        #: ``instrumented`` marks futures resolving to the shim's
-        #: ``(value, record, shard)`` triple rather than a bare value.
-        self._futures: list[tuple[Any, str | None, bool]] = []
+        #: ``(future, span_name)`` per submitted task.
+        self._futures: list[tuple[Any, str]] = []
         self._serial_results: list[Any] = []
+        #: The first serial task failure, held until the barrier.
+        self._serial_error: Exception | None = None
         self.results: list[Any] = []
         self._tracer = tracer if tracer is not None and tracer.enabled else None
-        self._parent: "Span | None" = (
-            self._tracer.current() if self._tracer is not None else None
-        )
         self._metrics = metrics
-
-    def _count_task(self, record: dict[str, Any], shard: dict[str, Any] | None) -> None:
-        registry = self._metrics
-        if registry is None:
-            return
-        registry.counter(
-            "repro_parallel_tasks_total",
-            help="Tasks run through TaskGroup.",
-            backend=self.backend.value,
-        ).inc(1)
-        registry.histogram(
-            "repro_parallel_task_duration_seconds",
-            help="Wall-clock per TaskGroup task.",
-            backend=self.backend.value,
-        ).observe(record["duration_s"])
-        registry.counter(
-            "repro_parallel_worker_busy_seconds_total",
-            help="Summed chunk/task wall-clock per worker.",
-            worker=record["worker"],
-        ).inc(record["duration_s"])
-        if shard:
-            registry.merge(shard)
-
-    def _fold_task(
-        self, name: str | None, record: dict[str, Any], shard: dict[str, Any] | None
-    ) -> None:
-        """Ingest one task's span record and metrics/profile shards."""
-        prof_shard = record.pop("profile", None)
-        if prof_shard:
-            from repro.observability.profiling import merge_profile_shard
-
-            merge_profile_shard(prof_shard)
-        if self._tracer is not None:
-            self._tracer.record(
-                name or "task", kind="task", parent=self._parent, **record
-            )
-        self._count_task(record, shard)
+        self._fold = _Fold("task", self.backend.value, self._tracer, metrics)
 
     def __enter__(self) -> "TaskGroup":
         if self.backend is not Backend.SERIAL and self.num_workers > 1:
@@ -818,75 +574,54 @@ class TaskGroup:
     ) -> None:
         """Submit one task (``#pragma omp task``)."""
         name = span_name or getattr(func, "__name__", "task")
-        profile = _profile_channel(name, self.backend)
-        events = _events_channel(name)
-        if self._pool is None:
-            from repro.observability.profiling import labeled_thread
-
-            t0 = time.perf_counter()
-            with labeled_thread(profile[1]) if profile is not None else nullcontext():
-                if self._tracer is not None:
-                    with self._tracer.span(name, kind="task", parent=self._parent):
-                        self._serial_results.append(func(*args, **kwargs))
-                else:
-                    self._serial_results.append(func(*args, **kwargs))
-            self._count_task(
-                {"duration_s": time.perf_counter() - t0, "worker": _worker_label()},
-                None,
-            )
-            if events is not None:
-                from repro.observability.events import emit_channel
-
-                emit_channel(events, "task_finished",
-                             duration_s=time.perf_counter() - t0,
-                             worker=_worker_label())
-        elif (self._tracer is not None or self._metrics is not None
-              or profile is not None or events is not None):
-            epoch = self._tracer.epoch if self._tracer is not None else time.time()
-            future = self._pool.submit(
-                _run_task_traced, func, epoch, args, kwargs,
-                self._metrics is not None, profile, events,
-            )
-            self._futures.append((future, name, True))
+        window = _open_window("task", name, self.backend, self._tracer, self._metrics)
+        if self._pool is not None:
+            future = self._pool.submit(_windowed, window, func, *args, **kwargs)
+            self._futures.append((future, name))
             if self._metrics is not None:
-                outstanding = sum(1 for f, _, _ in self._futures if not f.done())
+                outstanding = sum(1 for f, _ in self._futures if not f.done())
                 self._metrics.gauge(
                     "repro_parallel_task_queue_depth",
                     help="High-water mark of tasks outstanding in a TaskGroup.",
                 ).set_max(outstanding)
-        else:
-            self._futures.append((self._pool.submit(func, *args, **kwargs), None, False))
+            return
+        try:
+            with self._fold.live_span(name):
+                value, envelope = _windowed(window, func, *args, **kwargs)
+        except Exception as exc:
+            if self._serial_error is None:
+                self._serial_error = exc
+            return
+        self._fold(name, envelope, traced=False)
+        self._serial_results.append(value)
 
     def taskwait(self) -> list[Any]:
-        """Barrier: wait for all submitted tasks, collect their results."""
+        """Barrier: wait for all submitted tasks, collect their results.
+
+        Tasks that did finish are folded (span records, metrics and
+        profile shards) before the first failure, in submission order,
+        is raised — so a partial group stays observable.
+        """
         if self._pool is None:
-            batch = self._serial_results
-            self._serial_results = []
+            batch, self._serial_results = self._serial_results, []
+            error, self._serial_error = self._serial_error, None
+            if error is not None:
+                raise error
         else:
-            futures = [f for f, _, _ in self._futures]
-            done, _ = wait(futures)
-            failed = next((f for f in futures if f.exception() is not None), None)
-            if failed is not None:
-                # Tasks that did finish still carry span records and
-                # worker metrics/profile shards — fold them in before
-                # raising so a partial group is observable.
-                for future, name, instrumented in self._futures:
-                    if future.cancelled() or future.exception() is not None:
-                        continue
-                    value = future.result()
-                    if instrumented:
-                        _, record, shard = value
-                        self._fold_task(name, record, shard)
-                self._futures = []
-                raise failed.exception()
+            futures, self._futures = self._futures, []
+            wait([f for f, _ in futures])
             batch = []
-            for future, name, instrumented in self._futures:
-                value = future.result()
-                if instrumented:
-                    value, record, shard = value
-                    self._fold_task(name, record, shard)
+            failed = None
+            for future, name in futures:
+                if future.exception() is not None:
+                    if failed is None:
+                        failed = future
+                    continue
+                value, envelope = future.result()
+                self._fold(name, envelope)
                 batch.append(value)
-            self._futures = []
+            if failed is not None:
+                raise failed.exception()
         self.results.extend(batch)
         return batch
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import threading
 
 import pytest
 
@@ -228,6 +229,34 @@ class TestPlumbing:
     def test_empty_window_drains_to_none(self):
         begin_worker_window()
         assert drain_worker_shard() is None
+
+    def test_window_is_per_thread(self):
+        seen = []
+        begin_worker_window()
+        try:
+            other = threading.Thread(target=lambda: seen.append(recording_registry()))
+            other.start()
+            other.join()
+        finally:
+            drain_worker_shard()
+        assert seen == [None]
+
+    def test_nested_window_resumes_outer(self):
+        begin_worker_window()
+        try:
+            recording_registry().counter("outer_total").inc(1)
+            begin_worker_window()
+            try:
+                recording_registry().counter("inner_total").inc(2)
+            finally:
+                inner = drain_worker_shard()
+            recording_registry().counter("outer_total").inc(1)
+        finally:
+            outer = drain_worker_shard()
+        assert MetricsRegistry().merge(inner).value("inner_total") == 2
+        merged = MetricsRegistry().merge(outer)
+        assert merged.value("outer_total") == 2
+        assert merged.value("inner_total") is None
 
     def test_installed_registry_wins_over_window(self):
         reg = MetricsRegistry()

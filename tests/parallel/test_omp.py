@@ -1,13 +1,16 @@
 """Unit tests for the OpenMP-shaped primitives (parallel_for, TaskGroup)."""
 
+import contextlib
 import threading
 import time
 
 import pytest
 
-from repro.errors import ParallelError
+from repro.observability.metrics import MetricsRegistry, collecting, record_points
+from repro.parallel import omp
 from repro.parallel.backend import Backend
-from repro.parallel.omp import TaskGroup, parallel_for, parallel_for_chunked
+from repro.parallel.omp import Isolation, TaskGroup, parallel_for
+from repro.resilience.faults import attempt_scope, current_attempt
 
 
 def square(x: int) -> int:
@@ -17,6 +20,27 @@ def square(x: int) -> int:
 def failing(x: int) -> int:
     if x == 3:
         raise ValueError("boom on 3")
+    return x
+
+
+def counting_body(x: int) -> int:
+    record_points(100)
+    return x
+
+
+def nested_loop_task(registry: MetricsRegistry) -> None:
+    record_points(100)
+    parallel_for(counting_body, list(range(4)), backend="serial", metrics=registry)
+    record_points(100)
+
+
+class FlakyError(RuntimeError):
+    """Module-level so the process backend can pickle it."""
+
+
+def flaky_once_on_three(x: int) -> int:
+    if x == 3 and current_attempt() == 1:
+        raise FlakyError("boom on 3")
     return x
 
 
@@ -64,36 +88,6 @@ class TestParallelFor:
         serial = parallel_for(square, items, backend="serial")
         threaded = parallel_for(square, items, backend="thread", num_workers=4)
         assert serial == threaded
-
-
-class TestParallelForChunked:
-    def test_chunked_body_receives_batches(self):
-        seen: list[int] = []
-
-        def body(chunk):
-            seen.append(len(chunk))
-            return [x + 1 for x in chunk]
-
-        out = parallel_for_chunked(body, list(range(10)), backend="serial", num_workers=3)
-        assert out == list(range(1, 11))
-        assert sum(seen) == 10
-
-    def test_wrong_result_count_rejected(self):
-        def bad(chunk):
-            return [0]  # wrong length
-
-        with pytest.raises(ParallelError):
-            parallel_for_chunked(bad, list(range(10)), backend="serial", num_workers=2)
-
-    def test_threaded(self):
-        def body(chunk):
-            return [x * 2 for x in chunk]
-
-        out = parallel_for_chunked(body, list(range(31)), backend="thread", num_workers=4)
-        assert out == [x * 2 for x in range(31)]
-
-    def test_empty(self):
-        assert parallel_for_chunked(lambda c: list(c), [], backend="thread") == []
 
 
 class TestSharedExecutor:
@@ -180,3 +174,77 @@ class TestTaskGroup:
             tg.task(square, 6)
             tg.task(square, 7)
         assert tg.results == [36, 49]
+
+
+class TestBodyMetrics:
+    """Metrics recorded inside a body reach the registry on every backend."""
+
+    @pytest.mark.parametrize("installed", [False, True], ids=["bare", "collecting"])
+    @pytest.mark.parametrize("construct", ["parallel_for", "taskgroup"])
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_full_count(self, backend, construct, installed):
+        reg = MetricsRegistry()
+        with collecting(reg) if installed else contextlib.nullcontext():
+            if construct == "parallel_for":
+                parallel_for(counting_body, list(range(40)), backend=backend,
+                             num_workers=2, metrics=reg)
+                expected = 4000
+            else:
+                with TaskGroup(backend=backend, num_workers=2, metrics=reg) as tg:
+                    for i in range(20):
+                        tg.task(counting_body, i)
+                expected = 2000
+        assert reg.total("repro_points_processed_total") == expected
+
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_loop_inside_task_keeps_task_metrics(self, backend):
+        # The loop's windows open and drain inside the task's window on
+        # the same thread; the task's own records around it survive.
+        reg = MetricsRegistry()
+        with TaskGroup(backend=backend, num_workers=2, metrics=reg) as tg:
+            tg.task(nested_loop_task, reg)
+        assert reg.total("repro_points_processed_total") == 600
+
+
+class TestTaskGroupFailure:
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_later_task_runs_and_block_raises(self, backend):
+        ran: list[int] = []
+        with pytest.raises(ValueError, match="boom on 3"):
+            with TaskGroup(backend=backend, num_workers=2) as tg:
+                tg.task(failing, 3)
+                tg.task(ran.append, 1)
+        assert ran == [1]
+
+
+class TestDrainRounds:
+    """The pool drain waits once per round, never once per completion."""
+
+    @pytest.fixture
+    def waits(self, monkeypatch):
+        calls: list[int] = []
+        real = omp.wait
+
+        def counting(futures, *args, **kwargs):
+            calls.append(len(futures))
+            return real(futures, *args, **kwargs)
+
+        monkeypatch.setattr(omp, "wait", counting)
+        return calls
+
+    def test_failure_free_loop_waits_once(self, waits):
+        with omp.shared_executor("thread", num_workers=2) as pool:
+            out = parallel_for(square, list(range(200)), chunk_size=1, executor=pool)
+        assert out == [i * i for i in range(200)]
+        assert waits == [200]
+
+    def test_isolated_retry_takes_two_rounds(self, waits):
+        isolate = Isolation(retryable=(FlakyError,), attempt_scope=attempt_scope)
+        with omp.shared_executor("thread", num_workers=2) as pool:
+            out = parallel_for(flaky_once_on_three, list(range(6)), chunk_size=3,
+                               executor=pool, isolate=isolate)
+        assert out == list(range(6))
+        # Round 1: both chunks; round 2: item 3 at attempt 2 plus the tail [4, 5].
+        assert waits == [2, 2]
+        assert isolate.reports == []
