@@ -592,16 +592,6 @@ def _unregister_thread_labels(tid: int) -> None:
         _thread_labels[0].pop(tid, None)
 
 
-@contextmanager
-def labeled_thread(labels: dict[str, str]) -> Iterator[None]:
-    """Attribute this thread's samples to ``labels`` for the block."""
-    tid = _register_thread_labels(labels)
-    try:
-        yield
-    finally:
-        _unregister_thread_labels(tid)
-
-
 class _WorkerSampler:
     """The per-pool-process sampler behind the window protocol.
 

@@ -81,26 +81,41 @@ def _decimate_for_plot(x: np.ndarray, y: np.ndarray, max_points: int = 2000) -> 
     """Min/max-preserving decimation so long records stay faithful.
 
     Each output bucket contributes its extreme values, preserving the
-    envelope that matters in an accelerogram plot.
+    envelope that matters in an accelerogram plot: the first minimum and
+    the first maximum of ``y`` (``argmin``/``argmax``), in index order.
     """
     n = x.shape[0]
     if n <= max_points:
         return x, y
     buckets = max_points // 2
     edges = np.linspace(0, n, buckets + 1, dtype=int)
-    xs: list[float] = []
-    ys: list[float] = []
-    for b in range(buckets):
-        s, e = edges[b], edges[b + 1]
-        if s >= e:
-            continue
-        seg = y[s:e]
-        i_min = s + int(np.argmin(seg))
-        i_max = s + int(np.argmax(seg))
-        for i in sorted((i_min, i_max)):
-            xs.append(float(x[i]))
-            ys.append(float(y[i]))
-    return np.asarray(xs), np.asarray(ys)
+    if edges.size < 2:
+        return np.asarray([]), np.asarray([])
+    # n > max_points, so every bucket holds at least two points.
+    starts, counts = edges[:-1], np.diff(edges)
+    if np.isnan(y).any():
+        # reduceat propagates NaN; argmin/argmax return its first index.
+        i_min, i_max = _bucket_extremes_loop(y, edges)
+    else:
+        i_min = _first_index_of(y, starts, counts, np.minimum.reduceat(y, starts))
+        i_max = _first_index_of(y, starts, counts, np.maximum.reduceat(y, starts))
+    order = np.column_stack((np.minimum(i_min, i_max), np.maximum(i_min, i_max))).ravel()
+    return np.asarray(x[order], dtype=float), np.asarray(y[order], dtype=float)
+
+
+def _first_index_of(
+    y: np.ndarray, starts: np.ndarray, counts: np.ndarray, extreme: np.ndarray
+) -> np.ndarray:
+    """Each bucket's first index holding its ``extreme`` (argmin/argmax ties)."""
+    index = np.where(y == np.repeat(extreme, counts), np.arange(y.shape[0]), y.shape[0])
+    return np.minimum.reduceat(index, starts)
+
+
+def _bucket_extremes_loop(y: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    bounds = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+    i_min = [s + int(np.argmin(y[s:e])) for s, e in bounds]
+    i_max = [s + int(np.argmax(y[s:e])) for s, e in bounds]
+    return np.asarray(i_min, dtype=int), np.asarray(i_max, dtype=int)
 
 
 @dataclass
@@ -187,7 +202,7 @@ class LineChart:
             canvas.set_gray(s.gray)
             canvas.set_dash(s.dash)
             canvas.set_line_width(0.6)
-            canvas.polyline(list(zip(px.tolist(), py.tolist())))
+            canvas.polyline(np.column_stack((px, py)))
             if s.label:
                 canvas.set_dash(())
                 canvas.line(x0 + width - 58, legend_y + 3, x0 + width - 44, legend_y + 3)

@@ -10,11 +10,75 @@ defines them.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 from repro.errors import ReproError
 
 PAGE_WIDTH: float = 612.0
 PAGE_HEIGHT: float = 792.0
+
+#: Shortest polyline whose points are formatted with numpy; shorter ones
+#: (frames, ticks, legend strokes) are cheaper point by point.
+_VECTOR_MIN_POINTS = 64
+#: A tie guard: coordinates whose hundredths lie this close to a half go to ``%``.
+_TIE_MARGIN = 1e-6
+#: Largest cent count plus one the digit tables cover: integer parts 0-999.
+_CENTS_LIMIT = 100_000
+
+# "%.2f" of a coordinate in [0, 1000) is "I.CC": the integer part's digits
+# right-aligned in three bytes, NUL-filled (packing drops the NULs), a dot
+# and the two cent digits.
+_DIGITS3 = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+_SIGNIFICANT = np.maximum.accumulate(_DIGITS3 != ord("0"), axis=1)
+_SIGNIFICANT[:, 2] = True
+#: Integer-part bytes keyed by the integer part.
+_INT_BYTES = np.where(_SIGNIFICANT, _DIGITS3, 0).astype(np.uint8)
+#: Cent bytes keyed by the cents.
+_CENT_BYTES = _DIGITS3[:100, 1:]
+_LINETO = np.frombuffer(b" lineto\n", dtype=np.uint8)
+#: Bytes of one "III.CC III.CC lineto\n" row.
+_ROW_WIDTH = 2 * 6 + 1 + _LINETO.size
+
+
+def _lineto_lines(xy: np.ndarray) -> str:
+    """``"%.2f %.2f lineto\n"`` for every row of the (n, 2) array ``xy``.
+
+    Coordinates in [0, 1000) are built from digit tables: ``rint(v * 100)``
+    is the correctly rounded cent count, as ``%.2f`` rounds, unless
+    ``v * 100`` lies within the tie guard of a half (its rounding error is
+    below 1e-11 there).  Rows holding a near-tie, a negative or
+    non-finite coordinate, or one of 1000 and more take ``%`` and are
+    spliced in.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = xy * 100.0
+        cents = np.rint(scaled)
+        digits = (
+            np.isfinite(scaled)
+            & ~np.signbit(xy)
+            & (cents < _CENTS_LIMIT)
+            & (np.abs(scaled - np.floor(scaled) - 0.5) >= _TIE_MARGIN)
+        )
+    whole, cent = np.divmod(np.where(digits, cents, 0).astype(np.int64), 100)
+    rows = np.empty((xy.shape[0], _ROW_WIDTH), dtype=np.uint8)
+    for column, offset in ((0, 0), (1, 7)):
+        rows[:, offset:offset + 3] = _INT_BYTES[whole[:, column]]
+        rows[:, offset + 3] = ord(".")
+        rows[:, offset + 4:offset + 6] = _CENT_BYTES[cent[:, column]]
+    rows[:, 6] = ord(" ")
+    rows[:, 13:] = _LINETO
+    pieces = []
+    start = 0
+    for stop in [*np.flatnonzero(~digits.all(axis=1)).tolist(), xy.shape[0]]:
+        block = rows[start:stop]
+        pieces.append(block[block != 0].tobytes().decode("ascii"))
+        if stop < xy.shape[0]:
+            x, y = xy[stop].tolist()
+            pieces.append(f"{x:.2f} {y:.2f} lineto\n")
+        start = stop + 1
+    return "".join(pieces)
 
 
 class PostScriptCanvas:
@@ -47,14 +111,20 @@ class PostScriptCanvas:
         inner = " ".join(f"{v:.2f}" for v in pattern)
         self._emit(f"[{inner}] 0 setdash")
 
-    def polyline(self, points: list[tuple[float, float]]) -> None:
-        """Stroke a connected path through the given page coordinates."""
+    def polyline(self, points: Sequence[tuple[float, float]] | np.ndarray) -> None:
+        """Stroke a connected path through the given page coordinates.
+
+        ``points`` is a sequence of (x, y) pairs or an (n, 2) array.
+        """
         if len(points) < 2:
             return
-        parts = ["newpath", f"{points[0][0]:.2f} {points[0][1]:.2f} moveto"]
-        parts.extend(f"{x:.2f} {y:.2f} lineto" for x, y in points[1:])
-        parts.append("stroke")
-        self._emit("\n".join(parts))
+        xy = np.asarray(points, dtype=float)
+        if xy.shape[0] < _VECTOR_MIN_POINTS:
+            lines = "".join(f"{x:.2f} {y:.2f} lineto\n" for x, y in xy[1:].tolist())
+        else:
+            lines = _lineto_lines(xy[1:])
+        x0, y0 = xy[0].tolist()
+        self._emit(f"newpath\n{x0:.2f} {y0:.2f} moveto\n{lines}stroke")
 
     def line(self, x0: float, y0: float, x1: float, y1: float) -> None:
         """Stroke a single segment."""

@@ -34,6 +34,7 @@ to 20 s times 5 damping ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.signal import lfilter
@@ -65,9 +66,13 @@ class ResponseSpectrumConfig:
 
     def __post_init__(self) -> None:
         self.periods = np.asarray(self.periods, dtype=float)
-        if self.periods.size == 0 or np.any(self.periods <= 0):
-            raise SignalError("periods must be positive and non-empty")
-        if any(d < 0 or d >= 1 for d in self.dampings):
+        if (
+            self.periods.size == 0
+            or not np.all(np.isfinite(self.periods))
+            or np.any(self.periods <= 0)
+        ):
+            raise SignalError(f"periods must be finite, positive and non-empty, got {self.periods}")
+        if not all(0 <= d < 1 for d in self.dampings):
             raise SignalError(f"damping ratios must be in [0, 1), got {self.dampings}")
         if self.method not in (
             "auto",
@@ -122,8 +127,8 @@ def sdof_coefficients(
     where ``F = [[0, 1], [-w^2, -2 zeta w]]`` and ``G = (0, 1)^T``.
     These are the Nigam–Jennings coefficients in matrix form.
     """
-    if period <= 0 or dt <= 0:
-        raise SignalError("period and dt must be positive")
+    if not (np.isfinite(period) and np.isfinite(dt)) or period <= 0 or dt <= 0:
+        raise SignalError(f"period and dt must be finite and positive, got {period}, {dt}")
     if not 0 <= damping < 1:
         raise SignalError(f"damping ratio must be in [0, 1), got {damping}")
     w = 2.0 * np.pi / period
@@ -155,7 +160,7 @@ def _scalar_recursions(
 
     Returns ``(den, num_x, num_v)`` where each response series is
     ``lfilter(num, den, p)`` with initial conditions handled by
-    :func:`_initial_conditions`.  Derivation: annihilate the companion
+    :func:`_initial_state`.  Derivation: annihilate the companion
     state using the Cayley–Hamilton relation of ``A``.
     """
     tr = A[0, 0] + A[1, 1]
@@ -178,20 +183,91 @@ def _scalar_recursions(
     return den, num_x, num_v
 
 
-def _initial_conditions(
-    A: np.ndarray, B1: np.ndarray, p0: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _initial_state(A: np.ndarray, B1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Direct-form-II-transposed initial states enforcing rest at k=0.
 
     The scalar recursion sees ``p[k+1]`` through its ``num[0]`` tap, so
     with zero filter history ``lfilter`` would start the oscillator
-    moving at k=0.  These zi values subtract the homogeneous evolution
-    of the spurious state ``B1 * p[0]``, making the filtered output
-    equal the exact at-rest solution (x[0] = v[0] = 0).
+    moving at k=0.  The states ``p[0] * zi`` subtract the homogeneous
+    evolution of the spurious state ``B1 * p[0]``, making the filtered
+    output equal the exact at-rest solution (x[0] = v[0] = 0).  Returned
+    without the ``p[0]`` factor, so one oscillator's filter serves
+    every record.
     """
-    zi_x = p0 * np.array([-B1[0], A[1, 1] * B1[0] - A[0, 1] * B1[1]])
-    zi_v = p0 * np.array([-B1[1], A[0, 0] * B1[1] - A[1, 0] * B1[0]])
+    zi_x = np.array([-B1[0], A[1, 1] * B1[0] - A[0, 1] * B1[1]])
+    zi_v = np.array([-B1[1], A[0, 0] * B1[1] - A[1, 0] * B1[0]])
     return zi_x, zi_v
+
+
+@dataclass(frozen=True)
+class _OscillatorFilters:
+    """The IIR filters of every oscillator of one (dt, periods, dampings) grid.
+
+    Row ``k`` belongs to oscillator ``(k // n_periods, k % n_periods)``
+    (damping-major, the spectrum's layout): ``den``/``num_x``/``num_v``
+    from :func:`_scalar_recursions`, ``zi_x``/``zi_v`` from
+    :func:`_initial_state`.
+    """
+
+    den: np.ndarray
+    num_x: np.ndarray
+    num_v: np.ndarray
+    zi_x: np.ndarray
+    zi_v: np.ndarray
+
+
+#: Grids whose filters one process keeps.  An event's traces share one
+#: (dt, grid) — EV-NOV18 has two dts — so a few grids cover a run.
+_FILTER_CACHE_GRIDS = 8
+
+
+def _oscillator_filters(dt: float, periods, dampings) -> _OscillatorFilters:
+    """The grid's filters, built on the first call and cached per process.
+
+    Keyed on the exact bytes of the floats, so a cached filter is the
+    one a fresh :func:`sdof_coefficients` call would give.
+    """
+    return _filters_for(
+        np.float64(dt).tobytes(),
+        np.asarray(periods, dtype=float).tobytes(),
+        np.asarray(dampings, dtype=float).tobytes(),
+    )
+
+
+@lru_cache(maxsize=_FILTER_CACHE_GRIDS)
+def _filters_for(dt_key: bytes, periods_key: bytes, dampings_key: bytes) -> _OscillatorFilters:
+    (dt,) = np.frombuffer(dt_key)
+    rows = []
+    for damping in np.frombuffer(dampings_key):
+        for period in np.frombuffer(periods_key):
+            A, B0, B1 = sdof_coefficients(period, damping, dt)
+            rows.append((*_scalar_recursions(A, B0, B1), *_initial_state(A, B1)))
+    columns = [np.array(column) for column in zip(*rows)]
+    for column in columns:
+        column.flags.writeable = False  # shared by every caller in the process
+    return _OscillatorFilters(*columns)
+
+
+def _forcing(acc: np.ndarray) -> np.ndarray:
+    """The SDOF forcing ``p = -a_g`` of a non-empty record."""
+    acc = np.asarray(acc, dtype=float)
+    if acc.size == 0:
+        raise SignalError("cannot compute the response of an empty record")
+    return -acc
+
+
+def _history(
+    p: np.ndarray, filters: _OscillatorFilters, k: int, period: float, damping: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Response histories (x, v, total acceleration) of oscillator ``k``."""
+    den = filters.den[k]
+    x, _ = lfilter(filters.num_x[k], den, p, zi=p[0] * filters.zi_x[k])
+    v, _ = lfilter(filters.num_v[k], den, p, zi=p[0] * filters.zi_v[k])
+    w = 2.0 * np.pi / period
+    # Total acceleration from the equation of motion:
+    # x'' + a_g = -2 zeta w v - w^2 x.
+    total_acc = -2.0 * damping * w * v - w * w * x
+    return x, v, total_acc
 
 
 def sdof_response_history(
@@ -202,27 +278,16 @@ def sdof_response_history(
     Exact for piecewise-linear ground acceleration; used by tests and
     by callers who need time histories rather than spectra.
     """
-    acc = np.asarray(acc, dtype=float)
-    if acc.size == 0:
-        raise SignalError("cannot compute the response of an empty record")
-    p = -acc
-    A, B0, B1 = sdof_coefficients(period, damping, dt)
-    den, num_x, num_v = _scalar_recursions(A, B0, B1)
-    zi_x, zi_v = _initial_conditions(A, B1, p[0])
-    x, _ = lfilter(num_x, den, p, zi=zi_x)
-    v, _ = lfilter(num_v, den, p, zi=zi_v)
-    w = 2.0 * np.pi / period
-    # Total acceleration from the equation of motion:
-    # x'' + a_g = -2 zeta w v - w^2 x.
-    total_acc = -2.0 * damping * w * v - w * w * x
-    return x, v, total_acc
+    p = _forcing(acc)
+    return _history(p, _oscillator_filters(dt, (period,), (damping,)), 0, period, damping)
 
 
 def response_spectrum_nigam_jennings(
     acc: np.ndarray, dt: float, config: ResponseSpectrumConfig
 ) -> ResponseSpectrum:
     """Response spectrum via the Nigam–Jennings recursion (O(D) each)."""
-    acc = np.asarray(acc, dtype=float)
+    p = _forcing(acc)
+    filters = _oscillator_filters(dt, config.periods, config.dampings)
     n_d = len(config.dampings)
     n_t = config.periods.size
     sd = np.empty((n_d, n_t))
@@ -230,7 +295,7 @@ def response_spectrum_nigam_jennings(
     sa = np.empty((n_d, n_t))
     for di, zeta in enumerate(config.dampings):
         for ti, period in enumerate(config.periods):
-            x, v, ta = sdof_response_history(acc, dt, period, zeta)
+            x, v, ta = _history(p, filters, di * n_t + ti, period, zeta)
             w = 2.0 * np.pi / period
             sd[di, ti] = np.max(np.abs(x))
             if config.pseudo:

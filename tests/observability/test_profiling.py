@@ -16,7 +16,6 @@ from repro.observability.profiling import (
     profiling_session,
     stack_state,
     thread_labels,
-    labeled_thread,
 )
 from repro.observability.tracer import Tracer
 from repro.parallel.omp import parallel_for
@@ -148,16 +147,6 @@ class TestStackState:
 
     def test_working_otherwise(self):
         assert stack_state(("threading:_bootstrap", "mod:f")) == "working"
-
-
-class TestThreadLabels:
-    def test_labeled_thread_registers_and_clears(self):
-        import threading
-
-        tid = threading.get_ident()
-        with labeled_thread({"stage": "IX"}):
-            assert thread_labels(tid) == {"stage": "IX"}
-        assert thread_labels(tid) is None
 
 
 def _run_profiled_loop(backend: str) -> Profile:

@@ -1,9 +1,13 @@
 """Unit tests for the response-spectrum solvers (process P16's core)."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.errors import SignalError
+from repro.parallel.omp import parallel_for
+from repro.spectra import response as response_module
 from repro.spectra.response import (
     DEFAULT_DAMPINGS,
     ResponseSpectrumConfig,
@@ -63,6 +67,15 @@ class TestConfig:
         with pytest.raises(SignalError):
             default_periods(1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_periods(self, bad):
+        with pytest.raises(SignalError):
+            ResponseSpectrumConfig(periods=[0.1, bad, 1.0])
+
+    def test_rejects_nan_damping(self):
+        with pytest.raises(SignalError):
+            ResponseSpectrumConfig(dampings=(0.05, np.nan))
+
 
 class TestSdofCoefficients:
     def test_matrix_exponential_identity_at_zero_dt(self):
@@ -84,6 +97,16 @@ class TestSdofCoefficients:
             sdof_coefficients(-1.0, 0.05, 0.01)
         with pytest.raises(SignalError):
             sdof_coefficients(1.0, 1.0, 0.01)
+
+    @pytest.mark.parametrize("period, dt", [
+        (np.nan, 0.01), (np.inf, 0.01), (1.0, np.nan), (1.0, np.inf), (np.nan, np.inf),
+    ])
+    def test_rejects_non_finite_period_or_dt(self, period, dt):
+        # NaN used to leak numpy's LinAlgError; inf dt returned an all-NaN A.
+        with pytest.raises(SignalError):
+            sdof_coefficients(period, 0.05, dt)
+        with pytest.raises(SignalError):
+            sdof_response_history(np.ones(10), dt, period, 0.05)
 
 
 class TestResponseHistory:
@@ -229,3 +252,114 @@ class TestSpectralPhysics:
         s1 = response_spectrum_nigam_jennings(acc, dt, config)
         s2 = response_spectrum_nigam_jennings(3.0 * acc, dt, config)
         assert np.allclose(s2.sd, 3.0 * s1.sd, rtol=1e-10)
+
+
+def _per_call_spectrum(acc, dt, config):
+    """The per-oscillator solver as it was before filters were cached:
+    fresh coefficients, recursions and initial states for every call."""
+    from scipy.signal import lfilter
+
+    p = -np.asarray(acc, dtype=float)
+    shape = (len(config.dampings), config.periods.size)
+    sd, sv, sa = np.empty(shape), np.empty(shape), np.empty(shape)
+    for di, zeta in enumerate(config.dampings):
+        for ti, period in enumerate(config.periods):
+            A, B0, B1 = sdof_coefficients(period, zeta, dt)
+            den, num_x, num_v = response_module._scalar_recursions(A, B0, B1)
+            zi_x = p[0] * np.array([-B1[0], A[1, 1] * B1[0] - A[0, 1] * B1[1]])
+            zi_v = p[0] * np.array([-B1[1], A[0, 0] * B1[1] - A[1, 0] * B1[0]])
+            x, _ = lfilter(num_x, den, p, zi=zi_x)
+            v, _ = lfilter(num_v, den, p, zi=zi_v)
+            w = 2.0 * np.pi / period
+            ta = -2.0 * zeta * w * v - w * w * x
+            sd[di, ti] = np.max(np.abs(x))
+            sv[di, ti] = np.max(np.abs(v))
+            sa[di, ti] = np.max(np.abs(ta))
+    return sd, sv, sa
+
+
+def _records():
+    # Two dts interleaved, as EV-NOV18's stations are (0.01 and 0.005 s).
+    rng = np.random.default_rng(11)
+    return [(rng.normal(size=n) * np.hanning(n), dt)
+            for n, dt in ((900, 0.01), (1200, 0.005), (700, 0.01), (1000, 0.005))]
+
+
+_CACHE_CONFIG = ResponseSpectrumConfig(
+    periods=default_periods(24), dampings=DEFAULT_DAMPINGS
+)
+
+
+def _spectrum_arrays(record):
+    acc, dt = record
+    spectrum = response_spectrum_nigam_jennings(acc, dt, _CACHE_CONFIG)
+    return spectrum.sd, spectrum.sv, spectrum.sa
+
+
+class TestFilterCache:
+    """Cached per-(dt, grid) filters give the per-call solver's bits."""
+
+    def _assert_identical(self, got, record):
+        want = _per_call_spectrum(*record, _CACHE_CONFIG)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_cold_cache(self):
+        for record in _records():
+            response_module._filters_for.cache_clear()
+            self._assert_identical(_spectrum_arrays(record), record)
+
+    def test_warm_cache_and_interleaved_dts(self):
+        response_module._filters_for.cache_clear()
+        records = _records()
+        for record in records + records:
+            self._assert_identical(_spectrum_arrays(record), record)
+        info = response_module._filters_for.cache_info()
+        assert info.currsize == 2 and info.hits == len(records) * 2 - 2
+
+    def test_thread_backend(self):
+        # More workers than cores and a short switch interval, so threads
+        # race on the cold cache.
+        response_module._filters_for.cache_clear()
+        records = _records() * 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = parallel_for(_spectrum_arrays, records, backend="thread", num_workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        for got, record in zip(results, records):
+            self._assert_identical(got, record)
+        assert response_module._filters_for.cache_info().currsize == 2
+
+    def test_history_matches_per_call_solver(self, record):
+        acc, dt = record
+        config = ResponseSpectrumConfig(periods=np.array([0.7]), dampings=(0.05,))
+        x, _, _ = sdof_response_history(acc, dt, 0.7, 0.05)
+        sd, _, _ = _per_call_spectrum(acc, dt, config)
+        assert np.max(np.abs(x)) == sd[0, 0]
+
+    def test_cache_is_bounded(self, record):
+        acc, dt = record
+        response_module._filters_for.cache_clear()
+        limit = response_module._FILTER_CACHE_GRIDS
+        for i in range(limit + 3):
+            config = ResponseSpectrumConfig(periods=np.array([0.5 + i]), dampings=(0.05,))
+            response_spectrum_nigam_jennings(acc[:200], dt, config)
+        info = response_module._filters_for.cache_info()
+        assert info.maxsize == limit
+        assert info.currsize == limit
+
+    def test_negative_zero_damping_has_its_own_entry(self, record):
+        # Keys are the floats' bytes: -0.0 and 0.0 never share filters.
+        acc, dt = record
+        response_module._filters_for.cache_clear()
+        for zeta in (0.0, -0.0):
+            config = ResponseSpectrumConfig(periods=np.array([0.5]), dampings=(zeta,))
+            response_spectrum_nigam_jennings(acc[:200], dt, config)
+        assert response_module._filters_for.cache_info().currsize == 2
+
+    def test_cached_filters_are_read_only(self):
+        filters = response_module._oscillator_filters(0.01, default_periods(4), (0.05,))
+        with pytest.raises(ValueError):
+            filters.den[0, 1] = 0.0
