@@ -407,11 +407,12 @@ def verify_builder(builder, regions: list[Region] | None = None) -> list[Finding
 
 
 def verify_policy(policy) -> list[Finding]:
-    """Verify a policy's static plan (name, instance, builder or graph).
+    """Verify a policy's plan (name, instance, builder or graph).
 
-    Policies that schedule dynamically (the legacy wavefront and
-    incremental runners) have no static plan to verify; that is
-    reported as an advisory, not a failure.
+    Every registered policy exposes its plan without a run context.  A
+    plan that cannot even be built (an unknown stage strategy, a
+    cyclic wiring) is reported as an error finding, so ``--strict``
+    never passes a policy that cannot run.
     """
     from repro.engine.policy import resolve_policy
 
@@ -419,7 +420,9 @@ def verify_policy(policy) -> list[Finding]:
     try:
         graph, regions = resolved.plan(None)
     except PipelineError as exc:
-        return [Finding(CHECK, INFO, str(exc))]
+        return [Finding(
+            CHECK, ERROR, f"policy {resolved.name!r} has no valid plan: {exc}"
+        )]
     return verify_graph(graph, regions)
 
 

@@ -274,15 +274,23 @@ def _stage_temp_folders(
 def _wavefront_tasks(workload: EventWorkload, model: CostModel) -> list[SimTask]:
     """Task graph of the §VIII wavefront extension.
 
-    A short prologue (stages I, II, VII equivalents), then one
+    The policy's sequential prologue (stages I, II and VII), then one
     dependency chain per station — separation, two staged corrections,
     Fourier, corners, three concurrent response traces, GEM and the
     three plots — with a single epilogue merge, so only one driver
     charge instead of ten.
     """
     builder = _GraphBuilder()
-    builder.add_layer(_stage_tasks_parallel("prologue", (0, 1), workload, model))
-    builder.add_layer(_stage_tasks_parallel("prologue", (2, 5, 8, 17), workload, model))
+    builder.add_chained([
+        SimTask(
+            name=f"prologue.P{pid}",
+            work_s=model.cost(pid, workload),
+            io_fraction=model.process(pid).io,
+            mem_fraction=model.process(pid).mem,
+            stage="prologue",
+        )
+        for pid in (0, 1, 2, 5, 8, 17, 11)
+    ])
     prologue = builder._frontier
     ovh = model.overheads
 

@@ -14,9 +14,9 @@ processing pipeline and its four implementations.
 - :mod:`repro.core.stages`       — the 11-stage reordering of Fig. 9.
 - :mod:`repro.core.tempfolders`  — temp-folder staging used to run
   un-modifiable tools concurrently (stages IV, V, VIII).
-- :mod:`repro.core.wavefront` / :mod:`incremental` — the two schedules
-  not yet expressed as engine task graphs; :mod:`repro.core.runner` —
-  shared result types.
+- :mod:`repro.core.incremental` — digests and the output cache of the
+  ``incremental`` policy; :mod:`repro.core.runner` — shared result
+  types.
 
 The four implementations themselves are scheduling policies over one
 engine: see :mod:`repro.engine` and ``repro.engine.PAPER_POLICIES``.
@@ -25,8 +25,6 @@ engine: see :mod:`repro.engine` and ``repro.engine.PAPER_POLICIES``.
 from repro.core.artifacts import Workspace
 from repro.core.context import ParallelSettings, RunContext
 from repro.core.runner import PipelineImplementation, PipelineResult, ProcessTiming
-from repro.core.wavefront import WavefrontParallel
-from repro.core.incremental import IncrementalRunner
 from repro.core.batch import BatchRunner, Bulletin, EventSummary
 from repro.core.verify import (
     VerificationReport,
@@ -51,8 +49,6 @@ __all__ = [
     "PipelineImplementation",
     "PipelineResult",
     "ProcessTiming",
-    "WavefrontParallel",
-    "IncrementalRunner",
     "BatchRunner",
     "Bulletin",
     "EventSummary",

@@ -1,10 +1,12 @@
-"""Incremental (make-style) pipeline execution.
+"""Fingerprints and the output cache of incremental (make-style) runs.
 
 Observatories rerun the pipeline constantly — after a parameter tweak,
 after one more station's record arrives, after a crash.  Rerunning all
 20 processes from scratch every time is the very cost the paper
-attacks; this runner attacks the *other* axis: skip every process
-whose inputs and outputs are already up to date.
+attacks; the ``incremental`` policy
+(:class:`repro.engine.policy.IncrementalPolicy`) attacks the *other*
+axis: skip every process whose inputs and outputs are already up to
+date.
 
 Mechanism, built on the registry's declared reads/writes:
 
@@ -19,7 +21,8 @@ Mechanism, built on the registry's declared reads/writes:
    bytes instead of recomputing — every executed process deposits its
    outputs in ``<workspace>/.cache/p<pid>/``;
 4. otherwise run the process, cache its outputs and record the new
-   fingerprints.
+   fingerprints (the state file is rewritten after every executed
+   process, so a failed run keeps what it finished).
 
 Because a skipped or restored process leaves its outputs
 byte-identical, downstream fingerprints are unchanged and the skipping
@@ -30,28 +33,24 @@ re-executes exactly the affected suffix of the dependency graph.
 
 State lives in ``<workspace>/.pipeline_state.json`` and
 ``<workspace>/.cache/`` — outside ``work/`` so the artifact inventory
-stays identical to the other implementations'.
+stays identical to the other policies'.  This module holds the
+digest, state and cache helpers; the policy's per-process steps use
+them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import shutil
-import time
 from pathlib import Path
 
-logger = logging.getLogger("repro.core")
-
 from repro.core.context import RunContext
-from repro.core.registry import OPTIMIZED_ORDER, PROCESSES
-from repro.core.runner import PipelineImplementation, PipelineResult, ProcessTiming
 
 STATE_FILE = ".pipeline_state.json"
 
 
-def _config_fingerprint(ctx: RunContext) -> str:
+def config_fingerprint(ctx: RunContext) -> str:
     """Fingerprint of the numeric configuration that shapes outputs."""
     payload = {
         "filter": [
@@ -77,7 +76,7 @@ def _config_fingerprint(ctx: RunContext) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _digest_files(paths: list[Path]) -> str:
+def digest_files(paths: list[Path]) -> str:
     """One digest over a file set: names, presence and contents."""
     h = hashlib.sha256()
     for path in sorted(paths):
@@ -90,108 +89,50 @@ def _digest_files(paths: list[Path]) -> str:
     return h.hexdigest()
 
 
-class IncrementalRunner(PipelineImplementation):
-    """Sequential-optimized order with up-to-date processes skipped.
+def _cache_dir(root: Path, pid: int) -> Path:
+    return Path(root) / ".cache" / f"p{pid:02d}"
 
-    The final artifacts are byte-identical to every other
-    implementation's (same process bodies); only the amount of work
-    re-done differs.  :attr:`executed` and :attr:`skipped` report what
-    the last run actually did.
+
+def load_state(root: Path) -> dict:
+    """The recorded per-process digests, or ``{}``.
+
+    A missing, unreadable or malformed state file (anything but a
+    dict of dicts) means nothing is known to be up to date.
     """
+    try:
+        state = json.loads((Path(root) / STATE_FILE).read_text())
+    except (json.JSONDecodeError, OSError):
+        return {}
+    if not isinstance(state, dict) or not all(
+        isinstance(entry, dict) for entry in state.values()
+    ):
+        return {}
+    return state
 
-    name = "incremental"
-    description = "Incremental: skip processes whose inputs/outputs are unchanged"
 
-    def __init__(self) -> None:
-        self.executed: list[int] = []
-        self.skipped: list[int] = []
-        self.restored: list[int] = []
+def save_state(root: Path, state: dict) -> None:
+    (Path(root) / STATE_FILE).write_text(json.dumps(state, indent=1, sort_keys=True))
 
-    def _state_path(self, ctx: RunContext) -> Path:
-        return ctx.workspace.root / STATE_FILE
 
-    def _cache_dir(self, ctx: RunContext, pid: int) -> Path:
-        return ctx.workspace.root / ".cache" / f"p{pid:02d}"
+def cache_outputs(root: Path, pid: int, write_paths: list[Path]) -> None:
+    """Deposit a process's fresh output bytes in its cache folder."""
+    cache = _cache_dir(root, pid)
+    if cache.exists():
+        shutil.rmtree(cache)
+    cache.mkdir(parents=True)
+    for path in write_paths:
+        if path.exists():
+            shutil.copy2(path, cache / path.name)
 
-    def _load_state(self, ctx: RunContext) -> dict:
-        path = self._state_path(ctx)
-        if not path.exists():
-            return {}
-        try:
-            return json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            return {}
 
-    def _cache_outputs(self, ctx: RunContext, pid: int, write_paths: list[Path]) -> None:
-        cache = self._cache_dir(ctx, pid)
-        if cache.exists():
-            shutil.rmtree(cache)
-        cache.mkdir(parents=True)
-        for path in write_paths:
-            if path.exists():
-                shutil.copy2(path, cache / path.name)
-
-    def _restore_outputs(self, ctx: RunContext, pid: int, write_paths: list[Path]) -> bool:
-        """Copy cached output bytes back; False if the cache is stale."""
-        cache = self._cache_dir(ctx, pid)
-        if not cache.is_dir():
-            return False
-        cached_names = {p.name for p in cache.iterdir()}
-        if {p.name for p in write_paths} - cached_names:
-            return False
-        for path in write_paths:
-            shutil.copy2(cache / path.name, path)
-        return True
-
-    def execute(self, ctx: RunContext, result: PipelineResult) -> None:
-        self.executed = []
-        self.skipped = []
-        self.restored = []
-        stations = ctx.stations()
-        config_fp = _config_fingerprint(ctx)
-        state = self._load_state(ctx)
-        workspace = ctx.workspace
-
-        for pid in OPTIMIZED_ORDER:
-            spec = PROCESSES[pid]
-            read_paths: list[Path] = []
-            for ref in spec.reads:
-                read_paths.extend(workspace.artifact_paths(ref.identity, stations))
-            write_paths: list[Path] = []
-            for ref in spec.writes:
-                write_paths.extend(workspace.artifact_paths(ref.identity, stations))
-
-            inputs_fp = config_fp + _digest_files(read_paths)
-            entry = state.get(str(pid))
-            if entry is not None and entry.get("inputs") == inputs_fp:
-                if entry.get("outputs") == _digest_files(write_paths):
-                    self.skipped.append(pid)
-                    logger.debug("%s up to date, skipped", spec.label)
-                    result.stage_durations[spec.label] = 0.0
-                    continue
-                # Same inputs, outputs overwritten or deleted: restore
-                # the cached bytes instead of recomputing, then verify.
-                if (
-                    self._restore_outputs(ctx, pid, write_paths)
-                    and entry.get("outputs") == _digest_files(write_paths)
-                ):
-                    self.restored.append(pid)
-                    logger.debug("%s restored from the output cache", spec.label)
-                    result.stage_durations[spec.label] = 0.0
-                    continue
-
-            start = time.perf_counter()
-            spec.run(ctx)
-            elapsed = time.perf_counter() - start
-            self.executed.append(pid)
-            result.processes.append(
-                ProcessTiming(pid=pid, name=spec.name, stage=spec.label, duration_s=elapsed)
-            )
-            result.stage_durations[spec.label] = elapsed
-            self._cache_outputs(ctx, pid, write_paths)
-            state[str(pid)] = {
-                "inputs": inputs_fp,
-                "outputs": _digest_files(write_paths),
-            }
-
-        self._state_path(ctx).write_text(json.dumps(state, indent=1, sort_keys=True))
+def restore_outputs(root: Path, pid: int, write_paths: list[Path]) -> bool:
+    """Copy cached output bytes back; False if the cache is stale."""
+    cache = _cache_dir(root, pid)
+    if not cache.is_dir():
+        return False
+    cached_names = {p.name for p in cache.iterdir()}
+    if {p.name for p in write_paths} - cached_names:
+        return False
+    for path in write_paths:
+        shutil.copy2(cache / path.name, path)
+    return True

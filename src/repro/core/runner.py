@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.context import RunContext
-from repro.core.registry import PROCESSES
 from repro.observability.tracer import Trace, maybe_span
 
 logger = logging.getLogger("repro.core")
@@ -271,19 +270,3 @@ class PipelineImplementation(ABC):
         maybe_append_run(ctx, result)
         logger.info("%s: finished in %.3f s", self.name, result.total_s)
         return result
-
-    @staticmethod
-    def _timed_process(ctx: RunContext, pid: int, stage: str, result: PipelineResult,
-                       **kwargs: object) -> None:
-        """Run one registry process with timing bookkeeping."""
-        spec = PROCESSES[pid]
-        start = time.perf_counter()
-        spec.run(ctx, **kwargs)  # type: ignore[call-arg]
-        elapsed = time.perf_counter() - start
-        result.processes.append(
-            ProcessTiming(pid=pid, name=spec.name, stage=stage, duration_s=elapsed)
-        )
-        if ctx.metrics is not None:
-            from repro.observability.metrics import record_process
-
-            record_process(pid, elapsed)

@@ -19,8 +19,10 @@ The paper's four schemes are the built-in policies ``seq-original``,
 ``seq-optimized``, ``partial-parallel`` and ``full-parallel``
 (:data:`PAPER_POLICIES`);
 ``full-parallel-fused`` additionally executes the ``repro-lint``
-fusion advisories, and ``dag-parallel`` runs the layering derived
-straight from the declarations.
+fusion advisories, ``dag-parallel`` runs the layering derived
+straight from the declarations, ``wavefront-parallel`` and
+``cluster-parallel`` run prologue / station fan-out / epilogue, and
+``incremental`` chains digest-checked steps.
 """
 
 from repro.engine.graph import (
@@ -42,10 +44,11 @@ from repro.engine.policy import (
     ClusterPolicy,
     DerivedPolicy,
     GraphPolicy,
-    LegacyPolicy,
+    IncrementalPolicy,
     SchedulingPolicy,
     SequentialPolicy,
     StagedPolicy,
+    WavefrontPolicy,
     pipeline_factory,
     policy_by_name,
     policy_names,
@@ -73,7 +76,8 @@ __all__ = [
     "DerivedPolicy",
     "ClusterPolicy",
     "GraphPolicy",
-    "LegacyPolicy",
+    "WavefrontPolicy",
+    "IncrementalPolicy",
     "PAPER_POLICIES",
     "POLICIES",
     "pipeline_factory",

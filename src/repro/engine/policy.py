@@ -12,7 +12,6 @@ small policy objects:
 ``seq-optimized``   the 17-process order, redundancies removed
 ``partial-parallel``  Fig. 9 stages, 5 of 11 parallel
 ``full-parallel``   Fig. 9 stages, 10 of 11 parallel
-``cluster-parallel``  prologue / SPMD ranks / epilogue
 ==================  ==================================================
 
 Beyond the paper, ``full-parallel-fused`` executes the ``repro-lint``
@@ -20,6 +19,9 @@ fusion advisories (adjacent stages with no crossing dependency edge
 merge into one barrier group), and ``dag-parallel`` drops the Fig. 9
 layering entirely, running the layering derived from the registry
 declarations — as many barriers as the I/O requires, none extra.
+``wavefront-parallel`` (§VIII) and ``cluster-parallel`` share one
+prologue / station fan-out / epilogue plan, and ``incremental`` is the
+optimized order as a chain of digest-checked steps.
 
 Every plan is validated against the derived dependency graph before
 execution: a policy cannot ship a schedule the declarations forbid.
@@ -28,10 +30,15 @@ execution: a policy cannot ship a schedule the declarations forbid.
 from __future__ import annotations
 
 import difflib
+import logging
+import time
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
-from repro.core.registry import OPTIMIZED_ORDER, ORIGINAL_ORDER
+from repro.core import incremental
+from repro.core.processes.p03_separate import stations_from_list
+from repro.core.registry import OPTIMIZED_ORDER, ORIGINAL_ORDER, PROCESSES
+from repro.core.runner import ProcessTiming
 from repro.core.stages import (
     FULL_PARALLEL_STAGES,
     PARTIAL_PARALLEL_STAGES,
@@ -48,7 +55,12 @@ from repro.engine.graph import (
     Region,
     TaskGraph,
 )
+from repro.engine.stations import _merge_suffixed, process_station_wavefront
 from repro.errors import PipelineError
+
+# Per-process skip/restore lines stay on the core logger, like every
+# other per-process completion line.
+core_logger = logging.getLogger("repro.core")
 
 #: Stage-level strategy -> per-task strategy of its members.
 _MEMBER_STRATEGY = {
@@ -197,9 +209,6 @@ def _cluster_rank_body(comm, ctx) -> list:
     gathered back to rank 0.  Module-level so it pickles into the rank
     processes.
     """
-    from repro.core.processes.p03_separate import stations_from_list
-    from repro.core.wavefront import process_station_wavefront
-
     stations = stations_from_list(ctx.workspace) if comm.rank == 0 else None
     stations = comm.bcast(stations, root=0)
     specs = []
@@ -212,31 +221,33 @@ def _cluster_rank_body(comm, ctx) -> list:
     return []
 
 
-class ClusterPolicy(SchedulingPolicy):
-    """Prologue / SPMD ranks / epilogue as three custom tasks.
+class WavefrontPolicy(SchedulingPolicy):
+    """Prologue / station fan-out / epilogue as three custom tasks.
 
-    The rank fan-out is one custom task wrapping
-    :func:`repro.parallel.cluster.run_cluster`; the deterministic
-    epilogue merges the gathered corner specs and maxvals shards.
-    ``n_ranks`` defaults to the context's worker count; one rank runs
-    the station chains inline, like a single-rank MPI job.
+    The paper's §VIII wavefront scheduling: after a short sequential
+    prologue (stages I, II and VII build the global lists and
+    metadata), every station flows through its whole chain
+    (:func:`~repro.engine.stations.process_station_wavefront`) with no
+    stage barriers, and a deterministic epilogue merges the gathered
+    corner specs and maxvals shards.  The fan-out is a parallel loop
+    over stations; subclasses override :meth:`_fanout` only.
     """
 
-    name = "cluster-parallel"
-    description = "Cluster: MPI-style ranks over a shared workspace"
-
-    def __init__(self, n_ranks: int | None = None) -> None:
-        self.n_ranks = n_ranks
+    name = "wavefront-parallel"
+    description = "Wavefront: per-station pipelines, no stage barriers (§VIII)"
+    #: Label of the fan-out region and the strategy its span shows.
+    fanout_label = "wavefront"
+    fanout_strategy = LOOP
 
     def plan(self, ctx) -> tuple[TaskGraph, list[Region]]:
         state: dict = {}
         builder = PipelineBuilder(name=self.name)
         # Effects are declared so the graph verifier can prove the
         # three-region plan: prologue and epilogue bodies are
-        # cross-checked by inference, the rank fan-out is opaque (its
-        # work happens in forked rank processes).
+        # cross-checked by inference, the station fan-out is opaque
+        # (its work happens in pool workers or forked rank processes).
         builder.add_task(
-            "prologue", self._prologue, span_strategy="seq",
+            "prologue", self._prologue, span_strategy=SEQ,
             reads=("raw_v1", "v1_list"),
             writes=(
                 "flags", "v1_list", "filter_params", "acc_meta",
@@ -245,28 +256,28 @@ class ClusterPolicy(SchedulingPolicy):
             ),
         )
         builder.add_task(
-            "ranks", partial(self._ranks, state), after=["prologue"],
-            span_strategy="cluster",
+            self.fanout_label, partial(self._fanout, state), after=["prologue"],
+            span_strategy=self.fanout_strategy,
             reads=("v1_list", "raw_v1", "filter_params", "comp_v1", "comp_v2", "comp_f"),
             writes=("comp_v1", "comp_v2", "comp_f"),
             opaque=True,
         )
         builder.add_task(
-            "epilogue", partial(self._epilogue, state), after=["ranks"],
-            span_strategy="seq",
+            "epilogue", partial(self._epilogue, state), after=[self.fanout_label],
+            span_strategy=SEQ,
             writes=("filter_corrected", "maxvals", "maxvals2"),
         )
         graph = builder.build()
         regions = [
-            Region(label=name, tasks=(graph.task(name),), strategy=CUSTOM)
-            for name in ("prologue", "ranks", "epilogue")
+            Region(label=task.name, tasks=(task,), strategy=CUSTOM)
+            for task in graph.tasks
         ]
         return graph, regions
 
     @staticmethod
     def _prologue(ctx, result) -> None:
         # Coordinator prologue (stages I, II, VII), sequential: these
-        # are milliseconds and must complete before ranks start.
+        # are milliseconds and must complete before any station starts.
         from repro.core.processes.p00_flags import run_p00
         from repro.core.processes.p01_gather import run_p01
         from repro.core.processes.p02_params import run_p02
@@ -283,43 +294,166 @@ class ClusterPolicy(SchedulingPolicy):
         run_p17(ctx)
         run_p11(ctx)
 
-    def _ranks(self, state: dict, ctx, result) -> None:
-        from repro.core.processes.p03_separate import stations_from_list
+    def _fanout(self, state: dict, ctx, result) -> None:
+        from repro.parallel.omp import parallel_for
+
+        stations = stations_from_list(ctx.workspace)
+        per_station = parallel_for(
+            partial(process_station_wavefront, ctx),
+            list(enumerate(stations)),
+            backend=ctx.parallel.loop_backend,
+            num_workers=ctx.parallel.workers,
+            tracer=ctx.tracer,
+            span="station_pipeline",
+            metrics=ctx.metrics,
+        )
+        state["specs"] = [spec for specs in per_station for spec in specs]
+        state["row"] = "wavefront station pipelines"
+
+    def _epilogue(self, state: dict, ctx, result) -> None:
+        from repro.core.artifacts import FILTER_CORRECTED, MAXVALS, MAXVALS2
+        from repro.core.auditing import unit_scope
+        from repro.formats.params import FilterParams, write_filter_params
+
+        with unit_scope("P10"):
+            params = FilterParams(default=ctx.default_filter)
+            for station, comp, spec in state["specs"]:
+                params.set_override(station, comp, spec)
+            write_filter_params(ctx.workspace.work(FILTER_CORRECTED), params)
+        with unit_scope("P4"):
+            _merge_suffixed(ctx.workspace, "max1", MAXVALS)
+        with unit_scope("P13"):
+            _merge_suffixed(ctx.workspace, "max2", MAXVALS2)
+        # The fan-out is the run's one unit of process work; its
+        # barrier duration was recorded when its region closed.
+        result.processes.append(
+            ProcessTiming(
+                pid=-1,
+                name=state["row"],
+                stage=self.fanout_label,
+                duration_s=result.stage_durations[self.fanout_label],
+            )
+        )
+
+
+class ClusterPolicy(WavefrontPolicy):
+    """The station-chain plan with the fan-out over MPI-style ranks.
+
+    The fan-out wraps :func:`repro.parallel.cluster.run_cluster`.
+    ``n_ranks`` defaults to the context's worker count; one rank runs
+    the station chains inline, like a single-rank MPI job.
+    """
+
+    name = "cluster-parallel"
+    description = "Cluster: MPI-style ranks over a shared workspace"
+    fanout_label = "ranks"
+    fanout_strategy = "cluster"
+
+    def __init__(self, n_ranks: int | None = None) -> None:
+        self.n_ranks = n_ranks
+
+    def _fanout(self, state: dict, ctx, result) -> None:
         from repro.parallel.cluster import run_cluster
 
         stations = stations_from_list(ctx.workspace)
         ranks = self.n_ranks if self.n_ranks is not None else ctx.parallel.workers
         ranks = max(1, min(ranks, len(stations)))
         per_rank = run_cluster(_cluster_rank_body, ranks, ctx, tracer=ctx.tracer)
-        state["ranks"] = ranks
         state["specs"] = per_rank[0]
+        state["row"] = f"{ranks}-rank station pipelines"
 
-    @staticmethod
-    def _epilogue(state: dict, ctx, result) -> None:
-        from repro.core.artifacts import FILTER_CORRECTED, MAXVALS, MAXVALS2
-        from repro.core.runner import ProcessTiming
-        from repro.core.wavefront import _merge_suffixed
-        from repro.formats.params import FilterParams, write_filter_params
 
-        params = FilterParams(default=ctx.default_filter)
-        for station, comp, spec in state["specs"]:
-            params.set_override(station, comp, spec)
-        write_filter_params(ctx.workspace.work(FILTER_CORRECTED), params)
-        _merge_suffixed(ctx.workspace, "max1", MAXVALS)
-        _merge_suffixed(ctx.workspace, "max2", MAXVALS2)
-        tmp = ctx.workspace.tmp_dir
-        if tmp.exists() and not any(tmp.iterdir()):
-            tmp.rmdir()
-        # The ranks stage is the run's one unit of process work; its
-        # barrier duration was recorded when the ranks region closed.
-        result.processes.append(
-            ProcessTiming(
-                pid=-1,
-                name=f"{state['ranks']}-rank station pipelines",
-                stage="ranks",
-                duration_s=result.stage_durations["ranks"],
+class IncrementalPolicy(SchedulingPolicy):
+    """Sequential-optimized order with up-to-date processes skipped.
+
+    One region per process, each a custom task ``P<pid>`` whose body
+    is a digest-checked step (:mod:`repro.core.incremental`): skip the
+    process when its inputs and outputs match the recorded digests,
+    restore its cached output bytes when only the outputs changed,
+    otherwise run it and record fresh digests.  The final artifacts
+    are byte-identical to every other policy's; only the amount of
+    work re-done differs.  :attr:`executed`, :attr:`skipped` and
+    :attr:`restored` report what the last run did.
+    """
+
+    name = "incremental"
+    description = "Incremental: skip processes whose inputs/outputs are unchanged"
+
+    def __init__(self) -> None:
+        self.executed: list[int] = []
+        self.skipped: list[int] = []
+        self.restored: list[int] = []
+
+    def plan(self, ctx) -> tuple[TaskGraph, list[Region]]:
+        self.executed, self.skipped, self.restored = [], [], []
+        run: dict = {}
+        builder = PipelineBuilder(name=self.name)
+        previous: list[str] = []
+        for pid in OPTIMIZED_ORDER:
+            spec = PROCESSES[pid]
+            # The step digests, restores or runs exactly the process's
+            # declared artifacts, so those are its effects; the body
+            # itself resolves paths at run time and is not analyzable.
+            task = builder.add_task(
+                f"P{pid}", partial(self._step, run, pid), after=previous,
+                span_strategy=SEQ,
+                reads=tuple(ref.identity for ref in spec.reads),
+                writes=tuple(ref.identity for ref in spec.writes),
+                opaque=True,
             )
+            previous = [task.name]
+        graph = builder.build()
+        regions = [
+            Region(label=task.name, tasks=(task,), strategy=CUSTOM)
+            for task in graph.tasks
+        ]
+        return graph, regions
+
+    def _step(self, run: dict, pid: int, ctx, result) -> None:
+        if not run:
+            run["stations"] = ctx.stations()
+            run["config"] = incremental.config_fingerprint(ctx)
+            run["state"] = incremental.load_state(ctx.workspace.root)
+        spec = PROCESSES[pid]
+        workspace = ctx.workspace
+        read_paths = [
+            path for ref in spec.reads
+            for path in workspace.artifact_paths(ref.identity, run["stations"])
+        ]
+        write_paths = [
+            path for ref in spec.writes
+            for path in workspace.artifact_paths(ref.identity, run["stations"])
+        ]
+        inputs_fp = run["config"] + incremental.digest_files(read_paths)
+        entry = run["state"].get(str(pid))
+        if entry is not None and entry.get("inputs") == inputs_fp:
+            if entry.get("outputs") == incremental.digest_files(write_paths):
+                self.skipped.append(pid)
+                core_logger.debug("%s up to date, skipped", spec.label)
+                return
+            # Same inputs, outputs overwritten or deleted: restore the
+            # cached bytes instead of recomputing, then verify.
+            if (
+                incremental.restore_outputs(workspace.root, pid, write_paths)
+                and entry.get("outputs") == incremental.digest_files(write_paths)
+            ):
+                self.restored.append(pid)
+                core_logger.debug("%s restored from the output cache", spec.label)
+                return
+
+        start = time.perf_counter()
+        spec.run(ctx)
+        elapsed = time.perf_counter() - start
+        self.executed.append(pid)
+        result.processes.append(
+            ProcessTiming(pid=pid, name=spec.name, stage=spec.label, duration_s=elapsed)
         )
+        incremental.cache_outputs(workspace.root, pid, write_paths)
+        run["state"][str(pid)] = {
+            "inputs": inputs_fp,
+            "outputs": incremental.digest_files(write_paths),
+        }
+        incremental.save_state(workspace.root, run["state"])
 
 
 class GraphPolicy(SchedulingPolicy):
@@ -343,43 +477,7 @@ class GraphPolicy(SchedulingPolicy):
         return self._graph, self._graph.derive_regions()
 
 
-class LegacyPolicy(SchedulingPolicy):
-    """Adapter for implementations not yet expressed as task graphs.
-
-    The wavefront and incremental runners schedule work dynamically
-    (per-station pipelines, change detection) rather than as a static
-    barrier plan; this policy hands execution straight to the legacy
-    class so they still resolve through the one policy registry.
-    """
-
-    def __init__(self, impl_factory: Callable, name: str, description: str) -> None:
-        self._impl_factory = impl_factory
-        self.name = name
-        self.description = description
-
-    def plan(self, ctx) -> tuple[TaskGraph, list[Region]]:
-        raise PipelineError(
-            f"policy {self.name!r} schedules dynamically and does not expose "
-            "a static task graph"
-        )
-
-    def pipeline(self):
-        return self._impl_factory()
-
-
 # -- registry ---------------------------------------------------------------
-
-
-def _wavefront():
-    from repro.core.wavefront import WavefrontParallel
-
-    return WavefrontParallel()
-
-
-def _incremental():
-    from repro.core.incremental import IncrementalRunner
-
-    return IncrementalRunner()
 
 
 def _partial_strategies() -> dict[str, str]:
@@ -436,16 +534,8 @@ POLICIES: dict[str, Callable[[], SchedulingPolicy]] = {
     ),
     "dag-parallel": lambda: DerivedPolicy(),
     "cluster-parallel": lambda: ClusterPolicy(),
-    "wavefront-parallel": lambda: LegacyPolicy(
-        _wavefront,
-        "wavefront-parallel",
-        "Wavefront: per-station pipelines, no stage barriers (§VIII)",
-    ),
-    "incremental": lambda: LegacyPolicy(
-        _incremental,
-        "incremental",
-        "Incremental: skip processes whose inputs/outputs are unchanged",
-    ),
+    "wavefront-parallel": lambda: WavefrontPolicy(),
+    "incremental": lambda: IncrementalPolicy(),
 }
 
 

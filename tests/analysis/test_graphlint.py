@@ -135,6 +135,14 @@ def test_registered_policy_verifies_strict_clean(name):
     assert problems == [], [f.render() for f in problems]
 
 
+def test_broken_plan_is_an_error_not_an_advisory():
+    from repro.engine.policy import StagedPolicy
+
+    findings = verify_policy(StagedPolicy(name="x", strategies={"IX": "bogus"}))
+    assert [f.severity for f in findings] == [ERROR]
+    assert "bogus" in findings[0].message
+
+
 def test_seq_original_rediscovers_the_redundant_processes():
     findings = verify_policy("seq-original")
     redundant = {f.process for f in findings if "redundant" in f.message}

@@ -4,7 +4,6 @@ import logging
 
 import pytest
 
-from repro.core.incremental import IncrementalRunner
 from repro.engine import policy_by_name
 from repro.errors import PipelineError
 from tests.conftest import make_context
@@ -33,9 +32,9 @@ class TestRunLogging:
         assert any("run failed" in r.message for r in caplog.records)
 
     def test_incremental_skip_logging(self, workspace_with_input, caplog):
-        IncrementalRunner().run(workspace_with_input)
+        policy_by_name("incremental").run(workspace_with_input)
         with caplog.at_level(logging.DEBUG, logger="repro.core"):
-            IncrementalRunner().run(workspace_with_input)
+            policy_by_name("incremental").run(workspace_with_input)
         messages = [r.message for r in caplog.records]
         assert any("up to date, skipped" in m for m in messages)
         assert any("restored from the output cache" in m for m in messages)

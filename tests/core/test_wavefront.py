@@ -4,9 +4,8 @@ import shutil
 
 import pytest
 
-from repro.core import WavefrontParallel
 from repro.core.context import ParallelSettings
-from repro.engine import policy_by_name
+from repro.engine import WavefrontPolicy, policy_by_name
 from tests.conftest import hash_tree, make_context
 
 
@@ -46,8 +45,7 @@ class TestWavefrontEquality:
         assert result.stage_durations["wavefront"] > 0
 
     def test_registered_by_name(self):
-        pipeline = policy_by_name("wavefront-parallel").pipeline()
-        assert isinstance(pipeline, WavefrontParallel)
+        assert isinstance(policy_by_name("wavefront-parallel"), WavefrontPolicy)
 
 
 class TestWavefrontSimulation:

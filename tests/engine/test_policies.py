@@ -23,7 +23,6 @@ from repro.engine import (
     resolve_policy,
 )
 from repro.engine.policy import PAPER_POLICIES, POLICIES, SequentialPolicy
-from repro.errors import PipelineError
 
 
 class TestRegistry:
@@ -164,13 +163,12 @@ class TestPlans:
         assert graph.has_edge("prologue", "ranks")
         assert graph.has_edge("ranks", "epilogue")
 
-    @pytest.mark.parametrize("name", ["wavefront-parallel", "incremental"])
-    def test_dynamic_policies_refuse_static_plans(self, name: str):
-        policy = policy_by_name(name)
-        with pytest.raises(PipelineError, match="schedules dynamically"):
-            policy.plan(ctx=None)
-        # ...but still resolve to a runnable implementation.
-        assert policy.pipeline().name == name
+    @pytest.mark.parametrize("name", policy_names())
+    def test_every_policy_plan_validates(self, name: str):
+        # Plans are built without a run context (the verifier's call).
+        graph, regions = policy_by_name(name).plan(None)
+        graph.validate_regions(regions)
+        assert regions
 
     def test_plan_types(self):
         graph, regions = _plan("full-parallel")
