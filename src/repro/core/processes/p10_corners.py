@@ -11,6 +11,7 @@ Writes ``filter_corrected.par`` with one override per trace.
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
 from functools import partial
 
 from repro.core.artifacts import (
@@ -53,13 +54,17 @@ def analyze_component(
 
 
 @process_unit("P10")
-def run_p10(ctx: RunContext, *, parallel_inner: bool = False) -> None:
+def run_p10(
+    ctx: RunContext, *, parallel_inner: bool = False, executor: Executor | None = None
+) -> None:
     """Search every trace's inflection; write ``filter_corrected.par``.
 
     ``parallel_inner=True`` runs the three components of each station
     concurrently (the paper's ``#pragma omp parallel for`` over
     ``j = 0..2``); results are collected in component order so the
-    output file is identical either way.
+    output file is identical either way.  ``executor`` is the run's
+    loop pool: every station's inner loop runs on it instead of
+    opening a pool per station.
     """
     from repro.resilience.runtime import surviving_entries
 
@@ -86,6 +91,7 @@ def run_p10(ctx: RunContext, *, parallel_inner: bool = False) -> None:
                 f_names,
                 backend=ctx.parallel.loop_backend,
                 num_workers=min(ctx.parallel.workers, len(f_names)),
+                executor=executor,
                 tracer=ctx.tracer,
                 span="analyze_component",
                 metrics=ctx.metrics,

@@ -66,6 +66,7 @@ from repro.observability.events import emit as emit_event
 from repro.observability.events import is_active as events_active
 from repro.observability.events import stage_scope
 from repro.observability.tracer import maybe_span
+from repro.parallel.native import single_threaded_blas
 from repro.parallel.omp import TaskGroup, parallel_for, shared_executor
 
 logger = logging.getLogger("repro.engine")
@@ -166,23 +167,18 @@ class Engine:
             self._verify_plan(graph, regions)
         self._record_plan(ctx, regions)
         self._emit_plan(ctx, regions)
-        needs_pools = any(
-            task.strategy in (LOOP, TEMP_FOLDERS)
-            for region in regions
-            for task in region.tasks
-        )
-        with ExitStack() as stack:
-            pools: dict = {}
-            if needs_pools:
-                # One pool per backend, shared by every loop of the
-                # run: pool creation (and, for the process backend,
-                # worker forking) is not paid per region.
-                pools = {
-                    backend: stack.enter_context(
-                        shared_executor(backend, ctx.parallel.workers)
-                    )
-                    for backend in {ctx.parallel.loop_backend, ctx.parallel.tool_backend}
-                }
+        # One level of parallelism per run: BLAS runs single-threaded
+        # for the run's duration, and one pool per backend serves every
+        # loop and task region.  The pools are built after the pin, so
+        # forked workers inherit it, and pool creation (for the process
+        # backend, worker forking) is paid once per run, not per region.
+        with single_threaded_blas(), ExitStack() as stack:
+            pools = {
+                backend: stack.enter_context(
+                    shared_executor(backend, ctx.parallel.workers)
+                )
+                for backend in _pool_backends(ctx, regions)
+            }
             for region in regions:
                 self._run_region(ctx, result, region, pools)
         # The temp-folder parent is scratch space; leave the workspace
@@ -274,7 +270,7 @@ class Engine:
         if region.strategy == SEQ:
             self._region_seq(ctx, result, region)
         elif region.strategy == "tasks":
-            self._region_tasks(ctx, result, region)
+            self._region_tasks(ctx, result, region, pools)
         elif region.strategy == LOOP:
             (task,) = region.tasks
             self._loop_member(ctx, result, region, task.pid, pools)
@@ -324,14 +320,10 @@ class Engine:
 
     # -- tasks -------------------------------------------------------------
 
-    def _region_tasks(self, ctx: RunContext, result: PipelineResult, region: Region) -> None:
-        # The paper binds 2-4 processors for the lightweight task
-        # stages; we cap at the number of member processes.
-        workers = min(ctx.parallel.workers, len(region.tasks))
-        with TaskGroup(
-            backend=ctx.parallel.task_backend, num_workers=workers,
-            tracer=ctx.tracer, metrics=ctx.metrics,
-        ) as tg:
+    def _region_tasks(
+        self, ctx: RunContext, result: PipelineResult, region: Region, pools: dict
+    ) -> None:
+        with _task_group(ctx, region, pools) as tg:
             for task in region.tasks:
                 tg.task(_timed, task.pid, ctx, span_name=PROCESSES[task.pid].name)
         for pid, elapsed in tg.results:
@@ -351,14 +343,10 @@ class Engine:
         """One dispatch for a mixed region: submit the task members,
         drive the loop members from this thread, barrier once at the
         end.  Correct because region members are proven independent."""
-        simple = [t for t in region.tasks if t.strategy in (SEQ, TASK)]
+        simple = _submitted(region)
         loops = [t for t in region.tasks if t.strategy in (LOOP, TEMP_FOLDERS)]
         custom = [t for t in region.tasks if t.strategy == CUSTOM]
-        workers = min(ctx.parallel.workers, max(1, len(simple)))
-        with TaskGroup(
-            backend=ctx.parallel.task_backend, num_workers=workers,
-            tracer=ctx.tracer, metrics=ctx.metrics,
-        ) as tg:
+        with _task_group(ctx, region, pools) as tg:
             for task in simple:
                 tg.task(_timed, task.pid, ctx, span_name=PROCESSES[task.pid].name)
             for task in loops:
@@ -402,7 +390,9 @@ class Engine:
                 if isolate is not None and isolate.reports:
                     runtime.quarantine_reports(isolate.reports, tracer=ctx.tracer)
             elif pid == 10:
-                PROCESSES[10].run(ctx, parallel_inner=True)  # type: ignore[call-arg]
+                PROCESSES[10].run(  # type: ignore[call-arg]
+                    ctx, parallel_inner=True, executor=pools.get(ctx.parallel.loop_backend),
+                )
             elif pid == 16:
                 pairs = trace_pairs(ctx)
                 body = partial(_response_unit, str(ctx.workspace.root), ctx.response_config)
@@ -485,6 +475,47 @@ class Engine:
             if maxvals_name is not None:
                 merge_max_files(ctx.workspace.work_dir, maxvals_name)
         self._record(result, region, pid, time.perf_counter() - start, ctx=ctx)
+
+
+def _submitted(region: Region) -> list[Task]:
+    """The members a region submits to its task group."""
+    if region.strategy == "tasks":
+        return list(region.tasks)
+    if region.strategy == FUSED:
+        return [t for t in region.tasks if t.strategy in (SEQ, TASK)]
+    return []
+
+
+def _task_workers(ctx: RunContext, region: Region) -> int:
+    """Workers of a region's task group.  The paper binds 2-4 processors
+    for the lightweight task stages; we cap at the submitted members."""
+    return min(ctx.parallel.workers, max(1, len(_submitted(region))))
+
+
+def _task_group(ctx: RunContext, region: Region, pools: dict) -> TaskGroup:
+    """A region's task group, on the run's pool when it runs concurrently
+    (a one-member group runs its task inline on the driver)."""
+    workers = _task_workers(ctx, region)
+    return TaskGroup(
+        backend=ctx.parallel.task_backend, num_workers=workers,
+        executor=pools.get(ctx.parallel.task_backend) if workers > 1 else None,
+        tracer=ctx.tracer, metrics=ctx.metrics,
+    )
+
+
+def _pool_backends(ctx: RunContext, regions: list[Region]) -> set:
+    """The backends whose pools the plan's regions dispatch onto."""
+    backends = set()
+    for region in regions:
+        if _task_workers(ctx, region) > 1:
+            backends.add(ctx.parallel.task_backend)
+        if region.strategy in (LOOP, TEMP_FOLDERS, FUSED):
+            for task in region.tasks:
+                if task.strategy == LOOP:
+                    backends.add(ctx.parallel.loop_backend)
+                elif task.strategy == TEMP_FOLDERS:
+                    backends.add(ctx.parallel.tool_backend)
+    return backends
 
 
 def _temp_folder_stage(pid: int) -> str:

@@ -6,7 +6,9 @@ Two halves:
    with static/dynamic/guided schedules, :class:`TaskGroup` with
    task/taskwait semantics) over pluggable backends: ``serial``,
    ``thread`` (GIL-bound but fine for I/O-heavy stages) and
-   ``process`` (GIL-free, used for FLOPS-heavy stages).
+   ``process`` (GIL-free, used for FLOPS-heavy stages).  The worker
+   pool is a run's only parallelism: :mod:`repro.parallel.native`
+   pins numpy's and scipy's OpenBLAS to one thread for the run.
 
 2. **Simulated execution** — a deterministic machine model
    (:class:`SimulatedMachine`) with heterogeneous worker speeds and an

@@ -51,27 +51,43 @@ from repro.observability.profiling import (
 from repro.observability.tracer import Span, Tracer, worker_label
 from repro.parallel.backend import Backend, resolve_workers
 from repro.parallel.chunks import Schedule, chunk_indices
+from repro.parallel.native import set_blas_threads
+
+
+def _make_pool(backend: Backend, workers: int) -> Executor:
+    """The one place a worker pool is built, for either pool backend.
+
+    Process workers pin BLAS to one thread as they start: the pool is
+    the parallelism.  A worker forked from a pinned driver is already
+    at one thread (the call is then skipped); spawn and forkserver
+    workers would start at the host default.
+    """
+    if backend is Backend.THREAD:
+        return ThreadPoolExecutor(max_workers=workers)
+    return ProcessPoolExecutor(
+        max_workers=workers, initializer=set_blas_threads, initargs=(1,)
+    )
 
 
 @contextmanager
 def shared_executor(
     backend: Backend | str, num_workers: int | None = None
 ) -> Iterator[Executor | None]:
-    """A pool reusable across many :func:`parallel_for` calls.
+    """A pool reusable across many :func:`parallel_for` calls and
+    :class:`TaskGroup` regions.
 
     Creating a pool per loop costs milliseconds (and a fork per worker
-    for the process backend); a staged pipeline runs ten-plus loops, so
-    the implementations open one pool per run and pass it through the
-    ``executor`` parameter.  Yields ``None`` for the serial backend
-    (callers pass it straight through).
+    for the process backend); a staged pipeline runs ten-plus loops and
+    task regions, so the engine opens one pool per run and passes it
+    through the ``executor`` parameter.  Yields ``None`` for the serial
+    backend (callers pass it straight through).
     """
     backend = Backend.coerce(backend)
     workers = resolve_workers(num_workers)
     if backend is Backend.SERIAL or workers == 1:
         yield None
         return
-    pool_cls = ThreadPoolExecutor if backend is Backend.THREAD else ProcessPoolExecutor
-    pool = pool_cls(max_workers=workers)
+    pool = _make_pool(backend, workers)
     try:
         yield pool
     finally:
@@ -512,8 +528,7 @@ def parallel_for(
             for i, value in zip(chunk, result[0]):
                 results[i] = value
     else:
-        pool_cls = ThreadPoolExecutor if backend is Backend.THREAD else ProcessPoolExecutor
-        with pool_cls(max_workers=min(workers, len(chunks))) as pool:
+        with _make_pool(backend, min(workers, len(chunks))) as pool:
             _drain(pool, func, items, chunks, results, window, fold, name, isolate)
     return results
 
@@ -536,6 +551,10 @@ class TaskGroup:
     With a ``tracer``, every task becomes a ``task`` span (named by the
     ``span_name=`` keyword of :meth:`task`, default the function name)
     parented to whatever span was open when the group was created.
+
+    Pass an ``executor`` (see :func:`shared_executor`) to run the tasks
+    on a borrowed pool, as :func:`parallel_for` does; the group's
+    barrier waits for its own tasks only and leaves the pool open.
     """
 
     def __init__(
@@ -543,12 +562,14 @@ class TaskGroup:
         *,
         backend: Backend | str = Backend.THREAD,
         num_workers: int | None = None,
+        executor: Executor | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.backend = Backend.coerce(backend)
         self.num_workers = resolve_workers(num_workers)
-        self._pool: ThreadPoolExecutor | ProcessPoolExecutor | None = None
+        self._pool: Executor | None = executor
+        self._owned = executor is None
         #: ``(future, span_name)`` per submitted task.
         self._futures: list[tuple[Any, str]] = []
         self._serial_results: list[Any] = []
@@ -560,9 +581,8 @@ class TaskGroup:
         self._fold = _Fold("task", self.backend.value, self._tracer, metrics)
 
     def __enter__(self) -> "TaskGroup":
-        if self.backend is not Backend.SERIAL and self.num_workers > 1:
-            pool_cls = ThreadPoolExecutor if self.backend is Backend.THREAD else ProcessPoolExecutor
-            self._pool = pool_cls(max_workers=self.num_workers)
+        if self._owned and self.backend is not Backend.SERIAL and self.num_workers > 1:
+            self._pool = _make_pool(self.backend, self.num_workers)
         return self
 
     def task(
@@ -630,6 +650,10 @@ class TaskGroup:
             if exc_type is None:
                 self.taskwait()
         finally:
-            if self._pool is not None:
+            if self._owned and self._pool is not None:
                 self._pool.shutdown(wait=True)
                 self._pool = None
+            elif self._futures:
+                # A borrowed pool goes back quiescent: no task of this
+                # group may still run under the caller's error handling.
+                wait([f for f, _ in self._futures])

@@ -15,6 +15,7 @@ every implementation and backend, and workspace paths would break that.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -151,7 +152,12 @@ class QuarantineSet:
         return qs
 
     def save(self, path: Path | str) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        """Write atomically: a reader in another process sees the old
+        set or the new one, never a torn file."""
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: Path | str) -> "QuarantineSet":

@@ -15,9 +15,16 @@ Authority is split to stay deterministic:
   tool emulations fill).  They never write shared state.
 - *The driver* folds reports into the :class:`QuarantineSet`, purges
   the quarantined station's artifacts, persists ``quarantine.json``,
-  and filters quarantined records out of every later work list — which
-  is why a stale fork-inherited quarantine copy in a long-lived pool
-  worker can waste a little work but never change the outcome.
+  and filters quarantined records out of every later work list.
+
+Work lists are not only built on the driver: a whole-process task
+(P9, P15, P18, ...) on the run's process pool builds its own, in a
+worker forked when the run began.  That worker's in-memory quarantine
+is its fork-time copy, stale once the driver quarantines a station
+later in the run, and a stale list names a purged station whose
+artifacts are gone.  So :func:`surviving_stations` and
+:func:`surviving_entries` read a worker's quarantine from the
+persisted ``quarantine.json`` (:meth:`ResilienceRuntime.live_quarantine`).
 """
 
 from __future__ import annotations
@@ -59,14 +66,14 @@ _WALK_UP = 6
 class ResilienceRuntime:
     """One workspace's fault plan, retry policy and quarantine state."""
 
-    def __init__(self, root: Path, plan: FaultPlan) -> None:
+    def __init__(self, root: Path, plan: FaultPlan, *, owner: bool = False) -> None:
         self.root = Path(root)
         self.plan = plan
         self.quarantine = QuarantineSet()
         #: Only the enabling process persists quarantine.json — pool
-        #: workers inherit this object across fork and must not race on
-        #: the file (their driver re-derives every report anyway).
-        self._owner_pid = os.getpid()
+        #: workers inherit this object across fork (or load their own
+        #: from the marker) and must not race on the file; they read it.
+        self._owner_pid = os.getpid() if owner else None
         #: Per-thread failure reports collected inside a tool run, so
         #: concurrent instances on the thread backend stay separate.
         self._pending = threading.local()
@@ -290,9 +297,23 @@ class ResilienceRuntime:
             self.quarantine.save(self.marker_dir / QUARANTINE_FILE)
         return fresh
 
+    def live_quarantine(self) -> QuarantineSet:
+        """The run's quarantine as of now, from any process.
+
+        The enabling driver's set is authoritative.  Anywhere else (a
+        pool worker) the set is reloaded from ``quarantine.json``,
+        which the driver writes atomically after every fold.
+        """
+        if os.getpid() != self._owner_pid:
+            path = self.marker_dir / QUARANTINE_FILE
+            if path.is_file():
+                self.quarantine = QuarantineSet.load(path)
+        return self.quarantine
+
     def surviving(self, records: Iterable[str]) -> list[str]:
         """Filter quarantined records out of a work list."""
-        return [r for r in records if r not in self.quarantine]
+        quarantine = self.live_quarantine()
+        return [r for r in records if r not in quarantine]
 
 
 # -- activation registry ------------------------------------------------
@@ -301,8 +322,9 @@ class ResilienceRuntime:
 def enable_resilience(root: Path | str, plan: FaultPlan) -> ResilienceRuntime:
     """Write the plan marker and activate the runtime for ``root``."""
     root = Path(root)
-    runtime = ResilienceRuntime(root, plan)
+    runtime = ResilienceRuntime(root, plan, owner=True)
     runtime.marker_dir.mkdir(parents=True, exist_ok=True)
+    (runtime.marker_dir / QUARANTINE_FILE).unlink(missing_ok=True)
     plan.save(runtime.marker_dir / PLAN_FILE)
     _ACTIVE[str(root)] = runtime
     return runtime
@@ -351,7 +373,7 @@ def runtime_for(path: Path | str) -> ResilienceRuntime | None:
 def surviving_stations(workspace: "Workspace", stations: list[str]) -> list[str]:
     """Drop quarantined stations from a work list (no-op when inactive)."""
     runtime = active_runtime(workspace.root) or runtime_for(workspace.root)
-    if runtime is None or not len(runtime.quarantine):
+    if runtime is None:
         return stations
     return runtime.surviving(stations)
 
@@ -364,9 +386,10 @@ def surviving_entries(workspace: "Workspace", entries: list[tuple]) -> list[tupl
     ``response.meta`` — every metadata-driven loop filters through here.
     """
     runtime = active_runtime(workspace.root) or runtime_for(workspace.root)
-    if runtime is None or not len(runtime.quarantine):
+    if runtime is None:
         return entries
-    return [entry for entry in entries if entry[0] not in runtime.quarantine]
+    quarantine = runtime.live_quarantine()
+    return [entry for entry in entries if entry[0] not in quarantine]
 
 
 # -- purge ---------------------------------------------------------------

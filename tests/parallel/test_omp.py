@@ -175,6 +175,34 @@ class TestTaskGroup:
             tg.task(square, 7)
         assert tg.results == [36, 49]
 
+    def test_borrowed_pool_left_open(self):
+        from repro.parallel.omp import shared_executor
+
+        with shared_executor("thread", num_workers=2) as pool:
+            with TaskGroup(backend="thread", num_workers=2, executor=pool) as tg:
+                tg.task(square, 2)
+                tg.task(square, 3)
+            assert tg.results == [4, 9]
+            # The barrier did not shut the borrowed pool down.
+            assert pool.submit(square, 4).result() == 16
+
+    def test_borrowed_pool_quiescent_after_driver_error(self):
+        from repro.parallel.omp import shared_executor
+
+        finished: list[int] = []
+
+        def slow() -> None:
+            time.sleep(0.2)
+            finished.append(1)
+
+        with shared_executor("thread", num_workers=2) as pool:
+            with pytest.raises(RuntimeError, match="driver"):
+                with TaskGroup(backend="thread", num_workers=2, executor=pool) as tg:
+                    tg.task(slow)
+                    raise RuntimeError("driver")
+            # The group waited for its task before the error left it.
+            assert finished == [1]
+
 
 class TestBodyMetrics:
     """Metrics recorded inside a body reach the registry on every backend."""

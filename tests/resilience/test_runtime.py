@@ -195,6 +195,37 @@ class TestQuarantine:
         entries = [("ST01", "a"), ("ST02", "b")]
         assert surviving_entries(workspace, entries) == [("ST01", "a")]
 
+    def test_pool_worker_sees_later_quarantine(self, runtime, workspace):
+        """A worker forked before a station is quarantined (a run-long
+        pool) must not list that station when it builds a work list."""
+        from repro.parallel.omp import shared_executor
+
+        entries = [("ST01", "a"), ("ST02", "b")]
+        with shared_executor("process", num_workers=2) as pool:
+            # Fork the workers while the quarantine is still empty.
+            assert pool.submit(surviving_entries, workspace, entries).result() == entries
+            runtime.quarantine_reports([
+                FailureReport(record="ST02", process="P4", kind=FORMAT,
+                              error="HeaderError", attempts=1)
+            ])
+            seen = [pool.submit(surviving_entries, workspace, entries) for _ in range(4)]
+            assert [f.result() for f in seen] == [[("ST01", "a")]] * 4
+            assert pool.submit(surviving_stations, workspace, ["ST01", "ST02"]).result() == [
+                "ST01"
+            ]
+
+    def test_enable_clears_stale_quarantine_file(self, workspace):
+        marker = workspace.root / "resilience"
+        marker.mkdir(parents=True, exist_ok=True)
+        (marker / QUARANTINE_FILE).write_text('{"reports": [{"record": "ST01", '
+                                              '"process": "P4", "kind": "format", '
+                                              '"error": "HeaderError"}]}\n')
+        enable_resilience(workspace.root, FaultPlan(seed=1))
+        try:
+            assert not (marker / QUARANTINE_FILE).exists()
+        finally:
+            disable_resilience(workspace.root)
+
     def test_surviving_is_identity_when_inactive(self, tmp_path):
         ws = Workspace(tmp_path / "plain").create()
         stations = ["ST01", "ST02"]
