@@ -8,8 +8,8 @@ those declarations *checkable* from three independent directions:
   workspace access in the process modules, diffed against the registry;
 - :mod:`repro.analysis.schedule_check` — re-derivation of the §IV
   redundancy elimination and the Fig. 9 stage plan from declarations;
-- :mod:`repro.analysis.races` — symbolic proof that each parallel
-  stage's per-unit write sets are pairwise disjoint;
+- :mod:`repro.analysis.races` — the symbolic per-unit access model and
+  the proof that concurrent units' write sets are pairwise disjoint;
 - :mod:`repro.analysis.audit` — cross-check of recorded runtime access
   logs (see :mod:`repro.core.auditing`) against all of the above;
 - :mod:`repro.analysis.effects` — static effect inference for arbitrary
@@ -26,11 +26,11 @@ from repro.analysis.audit import audit_findings, classify_path, observed_access
 from repro.analysis.effects import EffectSet, infer_effects
 from repro.analysis.graphlint import (
     happens_before_findings,
+    race_findings,
     verify_builder,
     verify_graph,
     verify_policy,
 )
-from repro.analysis.races import race_findings
 from repro.analysis.schedule_check import derive_redundant, schedule_findings
 from repro.analysis.static_conformance import analyze_processes, conformance_findings
 from repro.analysis.lint import main_lint, run_lint

@@ -11,8 +11,9 @@ safe; this module proves (or refutes) the same properties for any
   effects the code never performs are warnings; ``opaque`` tasks are
   taken on trust and reported as such);
 - **race freedom per region** — the name-template absorption argument
-  of :mod:`repro.analysis.races` lifted from Fig. 9 stage plans to
-  barrier regions: every pair of concurrent units (loop units, temp
+  of :mod:`repro.analysis.races` applied to every barrier region (the
+  ``races`` check, which ``repro-lint`` runs over the paper's four
+  schemes): every pair of concurrent units (loop units, temp
   folder instances, whole tasks) is proven write-disjoint, and every
   refutation is localized to a task pair with the colliding name
   patterns as counterexample;
@@ -61,6 +62,8 @@ from repro.errors import DependencyError, PipelineError
 EXTERNAL_INPUTS = frozenset({"raw_v1"})
 
 CHECK = "graph"
+#: The check name of race errors, which ``repro-lint``'s race pass collects.
+RACES = "races"
 
 
 # -- per-task effects --------------------------------------------------------
@@ -260,7 +263,7 @@ def verify_graph(
         for a, b, x, y, kind in unit_collisions(units):
             race_errors_by_region[index] += 1
             findings.append(Finding(
-                CHECK, ERROR,
+                RACES, ERROR,
                 f"region {region.label}: units {a.name!r} and {b.name!r} may "
                 f"{kind}-collide on {x.render()} vs {y.render()}",
             ))
@@ -424,6 +427,19 @@ def verify_policy(policy) -> list[Finding]:
             CHECK, ERROR, f"policy {resolved.name!r} has no valid plan: {exc}"
         )]
     return verify_graph(graph, regions)
+
+
+def race_findings() -> list[Finding]:
+    """The race proof of the paper's four schemes: the race errors the
+    verifier finds in their plans (none, when the proof holds)."""
+    from repro.engine.policy import PAPER_POLICIES
+
+    return [
+        Finding(RACES, ERROR, f"policy {name!r}: {f.message}")
+        for name in PAPER_POLICIES
+        for f in verify_policy(name)
+        if f.check == RACES
+    ]
 
 
 # -- happens-before runtime cross-check --------------------------------------

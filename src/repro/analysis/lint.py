@@ -4,7 +4,9 @@ Composes the three analyses into one report:
 
 1. static conformance (:mod:`repro.analysis.static_conformance`),
 2. schedule re-derivation (:mod:`repro.analysis.schedule_check`),
-3. schedule race proof (:mod:`repro.analysis.races`),
+3. schedule race proof (the race errors of
+   :func:`repro.analysis.graphlint.verify_policy` over the paper's
+   four schemes),
 
 and optionally the runtime audit cross-check of a recorded workspace
 (:mod:`repro.analysis.audit`).  Exit status: 0 when the report is
@@ -28,7 +30,7 @@ from pathlib import Path
 
 from repro.analysis.model import Report
 from repro.analysis.audit import audit_findings
-from repro.analysis.races import race_findings
+from repro.analysis.graphlint import race_findings
 from repro.analysis.schedule_check import schedule_findings
 from repro.analysis.static_conformance import conformance_findings
 

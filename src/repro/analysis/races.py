@@ -1,13 +1,15 @@
-"""Schedule race detector: prove per-unit write sets disjoint.
+"""The symbolic race model: per-unit file-access sets and their collisions.
 
-For every parallel stage of the Fig. 9 plan this pass builds the
-*symbolic* file-access sets of one unit of parallelism — a station, a
-trace, a work-list file or a whole member process — using parameterized
-artifact-name templates (``{u}l.v2``, ``{u}f.ps``, …), and proves that
-no two concurrent units can touch the same file with at least one
-write.  This is the static counterpart of the runtime auditor
-(:mod:`repro.analysis.audit`): the auditor observes one run, this pass
-covers *all* runs.
+A unit of parallelism — a station, a trace, a work-list file or a whole
+member process — is described by the *symbolic* file-access sets it
+may touch, written as parameterized artifact-name templates
+(``{u}l.v2``, ``{u}f.ps``, …).  :func:`unit_collisions` proves that no
+two concurrent units can touch the same file with at least one write.
+The graph verifier (:mod:`repro.analysis.graphlint`) applies it to
+every region of a policy's plan, and ``repro-lint``'s race pass is that
+verifier over the paper's policies.  This is the static counterpart of
+the runtime auditor (:mod:`repro.analysis.audit`): the auditor observes
+one run, the proof covers *all* runs.
 
 Name templates and the disjointness argument
 --------------------------------------------
@@ -31,9 +33,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.analysis.model import ERROR, Finding
-from repro.core.stages import STAGES, StageSpec, LOOP, SEQ, TASKS, TEMP_FOLDERS
-from repro.core.registry import PROCESSES
+from repro.core.stages import LOOP, TEMP_FOLDERS
 
 COMPONENTS = ("l", "t", "v")
 
@@ -184,10 +184,9 @@ def _loop_units(stage_name: str, pid: int) -> list[UnitAccess]:
     raise ValueError(f"no loop-unit model for P{pid}")
 
 
-#: Artifact identity -> the file-name atoms it expands to.  Shared by
-#: the stage-plan race proof below and the graph-level verifier
-#: (:mod:`repro.analysis.graphlint`), which lifts the same absorption
-#: argument from Fig. 9 stage plans to arbitrary task graphs.
+#: Artifact identity -> the file-name atoms it expands to; the graph
+#: verifier (:mod:`repro.analysis.graphlint`) expands every task's
+#: declared reads and writes through it.
 IDENTITY_ATOMS: dict[str, list[Atom]] = {
     "flags": [lit("work/flags.dat")],
     "flags2": [lit("work/flags2.dat")],
@@ -217,23 +216,9 @@ IDENTITY_ATOMS: dict[str, list[Atom]] = {
     ],
 }
 
-#: key_class prefixes marking a UnitAccess that is one single instance
-#: (a whole member process / task), not a class of keyed loop units.
-SINGLETON_PREFIXES = ("process-", "task-")
-
-
-def _task_units(stage: StageSpec) -> list[UnitAccess]:
-    """TASKS stages: one unit per member process; access sets are the
-    registry declarations expanded to name patterns."""
-    units = []
-    for pid in stage.processes:
-        spec = PROCESSES[pid]
-        units.append(UnitAccess(
-            spec.label, f"process-{pid}",
-            reads=[atom for ref in spec.reads for atom in IDENTITY_ATOMS[ref.identity]],
-            writes=[atom for ref in spec.writes for atom in IDENTITY_ATOMS[ref.identity]],
-        ))
-    return units
+#: key_class prefix marking a UnitAccess that is one single instance
+#: (a whole task), not a class of keyed loop units.
+SINGLETON_PREFIX = "task-"
 
 
 def process_unit_models(pid: int, strategy: str, stage_name: str) -> list[UnitAccess]:
@@ -251,21 +236,6 @@ def process_unit_models(pid: int, strategy: str, stage_name: str) -> list[UnitAc
     if strategy == TEMP_FOLDERS:
         return _station_unit(stage_name, pid)
     return []
-
-
-def stage_units(stage: StageSpec) -> list[UnitAccess]:
-    """The concurrent-unit model of one stage (its most parallel form)."""
-    strategy = stage.full_strategy
-    if strategy == SEQ:
-        return []
-    if strategy == TASKS:
-        return _task_units(stage)
-    (pid,) = stage.processes
-    if strategy == LOOP:
-        return _loop_units(stage.name, pid)
-    if strategy == TEMP_FOLDERS:
-        return _station_unit(stage.name, pid)
-    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def unit_collisions(
@@ -286,7 +256,7 @@ def unit_collisions(
             # A unit class with many instances also races against
             # *itself* across instances (same templates, distinct
             # keys) — covered by same_class with keys distinct.
-            if a is b and a.key_class.startswith(SINGLETON_PREFIXES):
+            if a is b and a.key_class.startswith(SINGLETON_PREFIX):
                 continue  # a single-instance unit cannot self-race
             pairs = (
                 [(x, y, "write/write") for x in a.writes for y in b.writes]
@@ -300,16 +270,3 @@ def unit_collisions(
                 if atoms_may_collide(x, y, same_unit_keys_distinct=same_class):
                     collisions.append((a, b, x, y, kind))
     return collisions
-
-
-def race_findings() -> list[Finding]:
-    """Prove every stage's units pairwise write-disjoint (or report)."""
-    findings: list[Finding] = []
-    for stage in STAGES:
-        for a, b, x, y, kind in unit_collisions(stage_units(stage)):
-            findings.append(Finding(
-                "races", ERROR,
-                f"stage {stage.name}: units {a.name!r} and {b.name!r} "
-                f"may {kind}-collide on {x.render()} vs {y.render()}",
-            ))
-    return findings

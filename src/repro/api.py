@@ -45,7 +45,6 @@ def run(
     ledger: str | Path | None = None,
     workspace: str | Path | None = None,
     response_periods: int | None = None,
-    settings: ParallelSettings | None = None,
 ) -> PipelineResult:
     """Run the pipeline end-to-end under one scheduling policy.
 
@@ -56,8 +55,7 @@ def run(
     - an :class:`EventSpec` — its synthetic dataset is generated first,
       into ``workspace`` (a temporary directory by default);
     - a fully-configured :class:`RunContext`, used as-is (``backend``,
-      ``workers``, ``response_periods`` and ``settings`` must then be
-      left unset).
+      ``workers`` and ``response_periods`` must then be left unset).
 
     ``policy`` (also the second positional argument) selects the
     schedule:
@@ -70,11 +68,12 @@ def run(
       :class:`~repro.engine.TaskGraph`), executed by its derived
       dependency layering.
 
-    ``backend`` applies one backend to loops, tasks and tools alike
-    (``ParallelSettings.uniform``); pass ``settings`` instead for
-    per-strategy control.  ``trace=True`` attaches the run's span
-    :class:`~repro.observability.tracer.Trace` to the returned result;
-    a path additionally writes it as Chrome Trace Event JSON.
+    ``backend`` and ``workers`` configure the run's one worker pool
+    (:class:`~repro.core.context.ParallelSettings`), which runs its
+    parallel loops, tasks and temp-folder tools alike.  ``trace=True``
+    attaches the run's span :class:`~repro.observability.tracer.Trace`
+    to the returned result; a path additionally writes it as Chrome
+    Trace Event JSON.
     ``profile=True`` samples the run (driver threads and pool workers
     alike) and attaches the merged
     :class:`~repro.observability.profiling.Profile` as
@@ -94,20 +93,16 @@ def run(
     impl = resolve_policy(policy).pipeline()
 
     if isinstance(source, RunContext):
-        if backend is not None or workers is not None or settings is not None \
-                or response_periods is not None:
+        if backend is not None or workers is not None or response_periods is not None:
             raise ValueError(
                 "run(): a RunContext source carries its own settings; "
-                "backend/workers/settings/response_periods must be unset"
+                "backend/workers/response_periods must be unset"
             )
         ctx = source
     else:
-        if settings is None:
-            if backend is not None:
-                settings = ParallelSettings.uniform(backend, num_workers=workers)
-            else:
-                settings = ParallelSettings(num_workers=workers)
-        kwargs: dict = {"parallel": settings}
+        if backend is None:
+            backend = Backend.THREAD
+        kwargs: dict = {"parallel": ParallelSettings(backend, num_workers=workers)}
         if response_periods is not None:
             from repro.spectra.response import ResponseSpectrumConfig, default_periods
 

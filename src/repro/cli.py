@@ -125,7 +125,7 @@ def main_process(argv: list[str] | None = None) -> int:
         ctx = RunContext.for_directory(
             args.workspace,
             response_config=ResponseSpectrumConfig(periods=default_periods(args.periods)),
-            parallel=ParallelSettings.uniform(args.backend, num_workers=args.workers),
+            parallel=ParallelSettings(args.backend, num_workers=args.workers),
         )
     if args.trace or args.profile or args.report:
         from repro.observability.tracer import Tracer

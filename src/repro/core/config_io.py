@@ -15,13 +15,14 @@ Schema (all sections optional; omitted values keep the defaults)::
       "inflection": {"min_period": 1.0, "smoothing_half_width": 4,
                      "persistence": 3, "fsl_ratio": 0.5,
                      "fallback_period": 10.0},
-      "parallel": {"loop_backend": "thread", "task_backend": "thread",
-                   "tool_backend": "thread", "num_workers": 8},
+      "parallel": {"backend": "thread", "num_workers": 8},
       "taper_fraction": 0.05,
       "fourier_max_period": 20.0
     }
 
-``response.periods`` also accepts an explicit list of seconds.
+``response.periods`` also accepts an explicit list of seconds.  An
+unknown key in any section, or a value of the wrong type, raises
+:class:`~repro.errors.PipelineError`.
 """
 
 from __future__ import annotations
@@ -58,8 +59,36 @@ def load_config(path: Path | str) -> dict:
     return config
 
 
+#: The keys each section (and the ``response.periods`` grid) accepts.
+_KEYS = {
+    "filter": ("f_stop_low", "f_pass_low", "f_pass_high", "f_stop_high"),
+    "response": ("periods", "dampings", "method", "pseudo"),
+    "response.periods": ("count", "t_min", "t_max"),
+    "inflection": (
+        "min_period", "smoothing_half_width", "persistence", "fsl_ratio",
+        "fallback_period",
+    ),
+    "parallel": ("backend", "num_workers"),
+}
+
+
+def _checked(section: object, name: str) -> dict:
+    """``section`` as a mapping holding only the keys ``name`` accepts."""
+    if not isinstance(section, dict):
+        raise PipelineError(
+            f"config section {name!r} must be a JSON object, got {type(section).__name__}"
+        )
+    unknown = set(section) - set(_KEYS[name])
+    if unknown:
+        raise PipelineError(
+            f"unknown keys {sorted(unknown)} in config section {name!r}; "
+            f"expected some of {list(_KEYS[name])}"
+        )
+    return section
+
+
 def _filter_from(config: dict) -> BandPassSpec:
-    section = config.get("filter", {})
+    section = _checked(config.get("filter", {}), "filter")
     from repro.dsp.fir import DEFAULT_BANDPASS
 
     return BandPassSpec(
@@ -71,11 +100,12 @@ def _filter_from(config: dict) -> BandPassSpec:
 
 
 def _response_from(config: dict) -> ResponseSpectrumConfig:
-    section = config.get("response", {})
+    section = _checked(config.get("response", {}), "response")
     periods_cfg = section.get("periods", {})
     if isinstance(periods_cfg, list):
         periods = np.asarray(periods_cfg, dtype=float)
     else:
+        periods_cfg = _checked(periods_cfg, "response.periods")
         periods = default_periods(
             int(periods_cfg.get("count", 100)),
             float(periods_cfg.get("t_min", 0.02)),
@@ -90,7 +120,7 @@ def _response_from(config: dict) -> ResponseSpectrumConfig:
 
 
 def _inflection_from(config: dict) -> InflectionSettings:
-    section = config.get("inflection", {})
+    section = _checked(config.get("inflection", {}), "inflection")
     defaults = InflectionSettings()
     return InflectionSettings(
         min_period=float(section.get("min_period", defaults.min_period)),
@@ -104,26 +134,29 @@ def _inflection_from(config: dict) -> InflectionSettings:
 
 
 def _parallel_from(config: dict) -> ParallelSettings:
-    section = config.get("parallel", {})
-    return ParallelSettings(
-        loop_backend=section.get("loop_backend", "thread"),
-        task_backend=section.get("task_backend", "thread"),
-        tool_backend=section.get("tool_backend", "thread"),
-        num_workers=section.get("num_workers"),
-    )
+    section = _checked(config.get("parallel", {}), "parallel")
+    num_workers = section.get("num_workers")
+    if num_workers is not None and (type(num_workers) is not int or num_workers < 1):
+        raise PipelineError(
+            f"parallel.num_workers must be a positive integer or null, got {num_workers!r}"
+        )
+    return ParallelSettings(section.get("backend", "thread"), num_workers)
 
 
 def context_from_config(root: Path | str, config: dict) -> RunContext:
     """Build a context at ``root`` from a loaded configuration."""
-    return RunContext.for_directory(
-        root,
-        default_filter=_filter_from(config),
-        response_config=_response_from(config),
-        inflection=_inflection_from(config),
-        parallel=_parallel_from(config),
-        taper_fraction=float(config.get("taper_fraction", 0.05)),
-        fourier_max_period=float(config.get("fourier_max_period", 20.0)),
-    )
+    try:
+        settings = dict(
+            default_filter=_filter_from(config),
+            response_config=_response_from(config),
+            inflection=_inflection_from(config),
+            parallel=_parallel_from(config),
+            taper_fraction=float(config.get("taper_fraction", 0.05)),
+            fourier_max_period=float(config.get("fourier_max_period", 20.0)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise PipelineError(f"ill-typed config value: {exc}") from exc
+    return RunContext.for_directory(root, **settings)
 
 
 def config_from_context(ctx: RunContext) -> dict:
@@ -149,9 +182,7 @@ def config_from_context(ctx: RunContext) -> dict:
             "fallback_period": ctx.inflection.fallback_period,
         },
         "parallel": {
-            "loop_backend": ctx.parallel.loop_backend.value,
-            "task_backend": ctx.parallel.task_backend.value,
-            "tool_backend": ctx.parallel.tool_backend.value,
+            "backend": ctx.parallel.backend.value,
             "num_workers": ctx.parallel.num_workers,
         },
         "taper_fraction": ctx.taper_fraction,

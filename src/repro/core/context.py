@@ -3,8 +3,8 @@
 A :class:`RunContext` bundles everything a pipeline implementation
 needs: the workspace, the numerical configuration (filter defaults,
 inflection settings, response-spectrum grid) and — for the parallel
-implementations — the :class:`ParallelSettings` describing backends and
-worker counts.  Two runs with equal contexts produce byte-identical
+implementations — the :class:`ParallelSettings` naming the backend and
+worker count.  Two runs with equal contexts produce byte-identical
 artifacts regardless of implementation or backend; the test suite
 enforces this.
 """
@@ -29,39 +29,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass
 class ParallelSettings:
-    """Backend choices for the parallel implementations.
+    """Backend and worker count of a run's parallelism.
 
-    ``loop_backend`` drives parallel-for stages; ``task_backend``
-    drives the task-parallel stages (I, II, XI); ``tool_backend``
-    drives the temp-folder tool stages (IV, V, VIII), which the paper
-    ran as concurrent external processes.  ``num_workers`` of ``None``
-    means one worker per logical processor.
+    One ``backend`` runs everything parallel in a run, as one OpenMP
+    runtime does in the paper: the task-parallel stages (I, II, XI),
+    the parallel-for stages, and the concurrent temp-folder tool
+    instances (IV, V, VIII).  ``num_workers`` of ``None`` means one
+    worker per logical processor.
     """
 
-    loop_backend: Backend | str = Backend.THREAD
-    task_backend: Backend | str = Backend.THREAD
-    tool_backend: Backend | str = Backend.THREAD
+    backend: Backend | str = Backend.THREAD
     num_workers: int | None = None
 
     def __post_init__(self) -> None:
-        self.loop_backend = Backend.coerce(self.loop_backend)
-        self.task_backend = Backend.coerce(self.task_backend)
-        self.tool_backend = Backend.coerce(self.tool_backend)
+        self.backend = Backend.coerce(self.backend)
 
     @classmethod
     def uniform(cls, backend: Backend | str, num_workers: int | None = None) -> "ParallelSettings":
-        """Settings with all three backends set to ``backend``.
-
-        The single coercion point for "give me one backend everywhere"
-        callers (the CLI's ``--backend``, the :func:`repro.run` facade).
-        """
-        backend = Backend.coerce(backend)
-        return cls(
-            loop_backend=backend,
-            task_backend=backend,
-            tool_backend=backend,
-            num_workers=num_workers,
-        )
+        """Alias of the constructor, kept for the benchmark harness."""
+        return cls(backend, num_workers)
 
     @property
     def workers(self) -> int:

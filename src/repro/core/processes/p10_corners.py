@@ -89,7 +89,7 @@ def run_p10(
             results = parallel_for(
                 body,
                 f_names,
-                backend=ctx.parallel.loop_backend,
+                backend=ctx.parallel.backend,
                 num_workers=min(ctx.parallel.workers, len(f_names)),
                 executor=executor,
                 tracer=ctx.tracer,

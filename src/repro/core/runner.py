@@ -185,9 +185,7 @@ class PipelineImplementation(ABC):
                 workspace=str(ctx.workspace.root),
                 stations=len(stations),
                 workers=ctx.parallel.workers,
-                loop_backend=ctx.parallel.loop_backend.value,
-                task_backend=ctx.parallel.task_backend.value,
-                tool_backend=ctx.parallel.tool_backend.value,
+                backend=ctx.parallel.backend.value,
             )
             run_events.install_run(ctx.workspace.root)
             heartbeat = run_events.Heartbeat(ctx.workspace.root)
@@ -201,9 +199,7 @@ class PipelineImplementation(ABC):
                 workspace=str(ctx.workspace.root),
                 stations=len(stations),
                 workers=ctx.parallel.workers,
-                loop_backend=ctx.parallel.loop_backend.value,
-                task_backend=ctx.parallel.task_backend.value,
-                tool_backend=ctx.parallel.tool_backend.value,
+                backend=ctx.parallel.backend.value,
             ) as run_span:
                 start = time.perf_counter()
                 try:

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import logging
 import time
-from contextlib import ExitStack
+from concurrent.futures import Executor
+from contextlib import nullcontext
 from functools import partial
 
 from repro.core.artifacts import (
@@ -146,7 +147,7 @@ def fourier_instance(stage: str, index: int, station: str, ctx: RunContext) -> S
 class Engine:
     """Executes one policy's plan against a run context.
 
-    The engine owns per-run state only (the shared worker pools); the
+    The engine owns per-run state only (the run's worker pool); the
     policy owns the schedule.  :class:`EnginePipeline` adapts a policy
     to the :class:`PipelineImplementation` interface so every existing
     tool (tracer, profiler, perf gate, chaos soak) drives engine runs
@@ -168,19 +169,17 @@ class Engine:
         self._record_plan(ctx, regions)
         self._emit_plan(ctx, regions)
         # One level of parallelism per run: BLAS runs single-threaded
-        # for the run's duration, and one pool per backend serves every
-        # loop and task region.  The pools are built after the pin, so
+        # for the run's duration, and one pool serves every loop, task
+        # and temp-folder region.  The pool is built after the pin, so
         # forked workers inherit it, and pool creation (for the process
         # backend, worker forking) is paid once per run, not per region.
-        with single_threaded_blas(), ExitStack() as stack:
-            pools = {
-                backend: stack.enter_context(
-                    shared_executor(backend, ctx.parallel.workers)
-                )
-                for backend in _pool_backends(ctx, regions)
-            }
+        run_pool = (
+            shared_executor(ctx.parallel.backend, ctx.parallel.workers)
+            if _needs_pool(ctx, regions) else nullcontext()
+        )
+        with single_threaded_blas(), run_pool as pool:
             for region in regions:
-                self._run_region(ctx, result, region, pools)
+                self._run_region(ctx, result, region, pool)
         # The temp-folder parent is scratch space; leave the workspace
         # with the same inventory a sequential run produces.
         tmp = ctx.workspace.tmp_dir
@@ -230,7 +229,8 @@ class Engine:
         ])
 
     def _run_region(
-        self, ctx: RunContext, result: PipelineResult, region: Region, pools: dict
+        self, ctx: RunContext, result: PipelineResult, region: Region,
+        pool: Executor | None,
     ) -> None:
         strategy = region.strategy
         span_strategy = strategy
@@ -247,7 +247,7 @@ class Engine:
             strategy=span_strategy, implementation=self.name,
         ) as stage_span, stage_scope(region.label):
             start = time.perf_counter()
-            self._dispatch(ctx, result, region, pools)
+            self._dispatch(ctx, result, region, pool)
             elapsed = time.perf_counter() - start
         # When tracing, the stage clock *is* the stage span, so the
         # trace and the result cannot disagree.
@@ -265,22 +265,23 @@ class Engine:
         )
 
     def _dispatch(
-        self, ctx: RunContext, result: PipelineResult, region: Region, pools: dict
+        self, ctx: RunContext, result: PipelineResult, region: Region,
+        pool: Executor | None,
     ) -> None:
         if region.strategy == SEQ:
             self._region_seq(ctx, result, region)
         elif region.strategy == "tasks":
-            self._region_tasks(ctx, result, region, pools)
+            self._region_tasks(ctx, result, region, pool)
         elif region.strategy == LOOP:
             (task,) = region.tasks
-            self._loop_member(ctx, result, region, task.pid, pools)
+            self._loop_member(ctx, result, region, task.pid, pool)
         elif region.strategy == TEMP_FOLDERS:
             (task,) = region.tasks
-            self._temp_folder_member(ctx, result, region, task.pid, pools)
+            self._temp_folder_member(ctx, result, region, task.pid, pool)
         elif region.strategy == CUSTOM:
             self._region_custom(ctx, result, region)
         elif region.strategy == FUSED:
-            self._region_fused(ctx, result, region, pools)
+            self._region_fused(ctx, result, region, pool)
         else:
             raise PipelineError(f"unknown region strategy {region.strategy!r}")
 
@@ -321,9 +322,10 @@ class Engine:
     # -- tasks -------------------------------------------------------------
 
     def _region_tasks(
-        self, ctx: RunContext, result: PipelineResult, region: Region, pools: dict
+        self, ctx: RunContext, result: PipelineResult, region: Region,
+        pool: Executor | None,
     ) -> None:
-        with _task_group(ctx, region, pools) as tg:
+        with _task_group(ctx, region, pool) as tg:
             for task in region.tasks:
                 tg.task(_timed, task.pid, ctx, span_name=PROCESSES[task.pid].name)
         for pid, elapsed in tg.results:
@@ -338,7 +340,8 @@ class Engine:
     # -- fused -------------------------------------------------------------
 
     def _region_fused(
-        self, ctx: RunContext, result: PipelineResult, region: Region, pools: dict
+        self, ctx: RunContext, result: PipelineResult, region: Region,
+        pool: Executor | None,
     ) -> None:
         """One dispatch for a mixed region: submit the task members,
         drive the loop members from this thread, barrier once at the
@@ -346,14 +349,14 @@ class Engine:
         simple = _submitted(region)
         loops = [t for t in region.tasks if t.strategy in (LOOP, TEMP_FOLDERS)]
         custom = [t for t in region.tasks if t.strategy == CUSTOM]
-        with _task_group(ctx, region, pools) as tg:
+        with _task_group(ctx, region, pool) as tg:
             for task in simple:
                 tg.task(_timed, task.pid, ctx, span_name=PROCESSES[task.pid].name)
             for task in loops:
                 if task.strategy == LOOP:
-                    self._loop_member(ctx, result, region, task.pid, pools)
+                    self._loop_member(ctx, result, region, task.pid, pool)
                 else:
-                    self._temp_folder_member(ctx, result, region, task.pid, pools)
+                    self._temp_folder_member(ctx, result, region, task.pid, pool)
             for task in custom:
                 task.run(ctx, result)  # type: ignore[misc]
         for pid, elapsed in tg.results:
@@ -363,7 +366,7 @@ class Engine:
 
     def _loop_member(
         self, ctx: RunContext, result: PipelineResult, region: Region, pid: int,
-        pools: dict,
+        pool: Executor | None,
     ) -> None:
         start = time.perf_counter()
         # The driver-side reads (work lists, metadata) belong to the
@@ -379,9 +382,9 @@ class Engine:
                 parallel_for(
                     partial(separate_station, str(ctx.workspace.root)),
                     stations,
-                    backend=ctx.parallel.loop_backend,
+                    backend=ctx.parallel.backend,
                     num_workers=ctx.parallel.workers,
-                    executor=pools.get(ctx.parallel.loop_backend),
+                    executor=pool,
                     tracer=ctx.tracer,
                     span="separate_station",
                     metrics=ctx.metrics,
@@ -391,7 +394,7 @@ class Engine:
                     runtime.quarantine_reports(isolate.reports, tracer=ctx.tracer)
             elif pid == 10:
                 PROCESSES[10].run(  # type: ignore[call-arg]
-                    ctx, parallel_inner=True, executor=pools.get(ctx.parallel.loop_backend),
+                    ctx, parallel_inner=True, executor=pool,
                 )
             elif pid == 16:
                 pairs = trace_pairs(ctx)
@@ -399,9 +402,9 @@ class Engine:
                 parallel_for(
                     body,
                     pairs,
-                    backend=ctx.parallel.loop_backend,
+                    backend=ctx.parallel.backend,
                     num_workers=ctx.parallel.workers,
-                    executor=pools.get(ctx.parallel.loop_backend),
+                    executor=pool,
                     tracer=ctx.tracer,
                     span="response_trace",
                     metrics=ctx.metrics,
@@ -412,9 +415,9 @@ class Engine:
                 parallel_for(
                     body,
                     files,
-                    backend=ctx.parallel.loop_backend,
+                    backend=ctx.parallel.backend,
                     num_workers=ctx.parallel.workers,
-                    executor=pools.get(ctx.parallel.loop_backend),
+                    executor=pool,
                     tracer=ctx.tracer,
                     span="gem_export",
                     metrics=ctx.metrics,
@@ -427,7 +430,7 @@ class Engine:
 
     def _temp_folder_member(
         self, ctx: RunContext, result: PipelineResult, region: Region, pid: int,
-        pools: dict,
+        pool: Executor | None,
     ) -> None:
         start = time.perf_counter()
         # Deliberately unscoped: the work-list read is orchestration (it
@@ -458,9 +461,9 @@ class Engine:
             values = parallel_for(
                 partial(run_staged_instance, str(ctx.workspace.root)),
                 instances,
-                backend=ctx.parallel.tool_backend,
+                backend=ctx.parallel.backend,
                 num_workers=ctx.parallel.workers,
-                executor=pools.get(ctx.parallel.tool_backend),
+                executor=pool,
                 tracer=ctx.tracer,
                 span="staged_instance",
                 metrics=ctx.metrics,
@@ -492,30 +495,25 @@ def _task_workers(ctx: RunContext, region: Region) -> int:
     return min(ctx.parallel.workers, max(1, len(_submitted(region))))
 
 
-def _task_group(ctx: RunContext, region: Region, pools: dict) -> TaskGroup:
+def _task_group(ctx: RunContext, region: Region, pool: Executor | None) -> TaskGroup:
     """A region's task group, on the run's pool when it runs concurrently
     (a one-member group runs its task inline on the driver)."""
     workers = _task_workers(ctx, region)
     return TaskGroup(
-        backend=ctx.parallel.task_backend, num_workers=workers,
-        executor=pools.get(ctx.parallel.task_backend) if workers > 1 else None,
+        backend=ctx.parallel.backend, num_workers=workers,
+        executor=pool if workers > 1 else None,
         tracer=ctx.tracer, metrics=ctx.metrics,
     )
 
 
-def _pool_backends(ctx: RunContext, regions: list[Region]) -> set:
-    """The backends whose pools the plan's regions dispatch onto."""
-    backends = set()
-    for region in regions:
-        if _task_workers(ctx, region) > 1:
-            backends.add(ctx.parallel.task_backend)
-        if region.strategy in (LOOP, TEMP_FOLDERS, FUSED):
-            for task in region.tasks:
-                if task.strategy == LOOP:
-                    backends.add(ctx.parallel.loop_backend)
-                elif task.strategy == TEMP_FOLDERS:
-                    backends.add(ctx.parallel.tool_backend)
-    return backends
+def _needs_pool(ctx: RunContext, regions: list[Region]) -> bool:
+    """Whether any of the plan's regions dispatches onto the run's pool."""
+    return any(
+        _task_workers(ctx, region) > 1
+        or region.strategy in (LOOP, TEMP_FOLDERS, FUSED)
+        and any(task.strategy in (LOOP, TEMP_FOLDERS) for task in region.tasks)
+        for region in regions
+    )
 
 
 def _temp_folder_stage(pid: int) -> str:

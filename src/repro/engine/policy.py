@@ -301,7 +301,7 @@ class WavefrontPolicy(SchedulingPolicy):
         per_station = parallel_for(
             partial(process_station_wavefront, ctx),
             list(enumerate(stations)),
-            backend=ctx.parallel.loop_backend,
+            backend=ctx.parallel.backend,
             num_workers=ctx.parallel.workers,
             tracer=ctx.tracer,
             span="station_pipeline",

@@ -170,7 +170,7 @@ def run_entry(
         "event_id": event_id,
         "workspace": str(ctx.workspace.root),
         "implementation": result.implementation,
-        "backend": ctx.parallel.loop_backend.value,
+        "backend": ctx.parallel.backend.value,
         "workers": ctx.parallel.workers,
         "total_s": round(float(result.total_s), 6),
         "stages": {k: round(float(v), 6) for k, v in result.stage_durations.items()},

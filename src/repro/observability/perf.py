@@ -105,7 +105,7 @@ def _run_once(
         ctx = RunContext.for_directory(
             base / "ws",
             response_config=small_response_config(n_periods=periods),
-            parallel=ParallelSettings.uniform(backend, num_workers=workers),
+            parallel=ParallelSettings(backend, num_workers=workers),
         )
         ctx.tracer = Tracer()
         ctx.metrics = MetricsRegistry()

@@ -109,7 +109,7 @@ def _bare_run_seconds(
         ctx = RunContext.for_directory(
             base / "ws",
             response_config=small_response_config(n_periods=periods),
-            parallel=ParallelSettings.uniform(backend, num_workers=workers),
+            parallel=ParallelSettings(backend, num_workers=workers),
         )
         if profile_hz:
             from repro.observability.profiling import SamplingProfiler

@@ -132,7 +132,7 @@ class RunView:
                 view.implementation = e.get("implementation", "?")
                 view.workspace = e.get("workspace", "")
                 view.workers = int(e.get("workers") or 1)
-                view.backend = e.get("loop_backend", "")
+                view.backend = e.get("backend", "")
             elif kind == "plan":
                 view.policy = e.get("policy", "")
                 for region in e.get("regions", ()):
@@ -362,9 +362,7 @@ def _overhead_check(args: argparse.Namespace) -> int:
             ctx = RunContext.for_directory(
                 base / "ws",
                 response_config=small_response_config(n_periods=args.periods),
-                parallel=ParallelSettings.uniform(
-                    args.backend, num_workers=args.workers
-                ),
+                parallel=ParallelSettings(args.backend, num_workers=args.workers),
             )
             ctx.events = with_events
             materialize(event, workload, ctx.workspace.input_dir)

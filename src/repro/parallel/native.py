@@ -5,7 +5,8 @@ pool sized to the host's cores.  A run's parallelism is its worker pool
 (one level, as in the paper's OpenMP code, whose Fortran bodies run
 sequentially), so BLAS threads inside pool workers only compete with
 the other workers for the same cores.  :func:`single_threaded_blas`
-pins every loaded OpenBLAS to one thread for the duration of a run.
+pins every loaded OpenBLAS to one thread for the duration of a run,
+and every worker pool holds it while it is open.
 
 The libraries are found the way they are loaded: by walking the
 process's loaded shared objects (``dl_iterate_phdr``) for files whose

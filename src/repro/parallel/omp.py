@@ -32,7 +32,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
@@ -51,22 +51,30 @@ from repro.observability.profiling import (
 from repro.observability.tracer import Span, Tracer, worker_label
 from repro.parallel.backend import Backend, resolve_workers
 from repro.parallel.chunks import Schedule, chunk_indices
-from repro.parallel.native import set_blas_threads
+from repro.parallel.native import set_blas_threads, single_threaded_blas
 
 
-def _make_pool(backend: Backend, workers: int) -> Executor:
+@contextmanager
+def _pool(backend: Backend, workers: int) -> Iterator[Executor]:
     """The one place a worker pool is built, for either pool backend.
 
-    Process workers pin BLAS to one thread as they start: the pool is
-    the parallelism.  A worker forked from a pinned driver is already
-    at one thread (the call is then skipped); spawn and forkserver
-    workers would start at the host default.
+    The pool is the parallelism, so BLAS runs single-threaded while it
+    is open.  Process workers fork lazily, at submit time, from the
+    pinned caller and inherit the pin (OpenBLAS's setter, called in a
+    forked child, would start spinning threads); the initializer pins
+    spawn and forkserver workers, which start at the host default.
     """
-    if backend is Backend.THREAD:
-        return ThreadPoolExecutor(max_workers=workers)
-    return ProcessPoolExecutor(
-        max_workers=workers, initializer=set_blas_threads, initargs=(1,)
-    )
+    with single_threaded_blas():
+        if backend is Backend.THREAD:
+            pool: Executor = ThreadPoolExecutor(max_workers=workers)
+        else:
+            pool = ProcessPoolExecutor(
+                max_workers=workers, initializer=set_blas_threads, initargs=(1,)
+            )
+        try:
+            yield pool
+        finally:
+            pool.shutdown(wait=True)
 
 
 @contextmanager
@@ -87,11 +95,8 @@ def shared_executor(
     if backend is Backend.SERIAL or workers == 1:
         yield None
         return
-    pool = _make_pool(backend, workers)
-    try:
+    with _pool(backend, workers) as pool:
         yield pool
-    finally:
-        pool.shutdown(wait=True)
 
 
 # -- the worker window -----------------------------------------------------
@@ -528,7 +533,7 @@ def parallel_for(
             for i, value in zip(chunk, result[0]):
                 results[i] = value
     else:
-        with _make_pool(backend, min(workers, len(chunks))) as pool:
+        with _pool(backend, min(workers, len(chunks))) as pool:
             _drain(pool, func, items, chunks, results, window, fold, name, isolate)
     return results
 
@@ -570,6 +575,8 @@ class TaskGroup:
         self.num_workers = resolve_workers(num_workers)
         self._pool: Executor | None = executor
         self._owned = executor is None
+        #: Closes a pool the group builds for itself.
+        self._stack = ExitStack()
         #: ``(future, span_name)`` per submitted task.
         self._futures: list[tuple[Any, str]] = []
         self._serial_results: list[Any] = []
@@ -582,7 +589,7 @@ class TaskGroup:
 
     def __enter__(self) -> "TaskGroup":
         if self._owned and self.backend is not Backend.SERIAL and self.num_workers > 1:
-            self._pool = _make_pool(self.backend, self.num_workers)
+            self._pool = self._stack.enter_context(_pool(self.backend, self.num_workers))
         return self
 
     def task(
@@ -650,8 +657,8 @@ class TaskGroup:
             if exc_type is None:
                 self.taskwait()
         finally:
-            if self._owned and self._pool is not None:
-                self._pool.shutdown(wait=True)
+            if self._owned:
+                self._stack.close()
                 self._pool = None
             elif self._futures:
                 # A borrowed pool goes back quiescent: no task of this

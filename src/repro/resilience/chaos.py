@@ -145,7 +145,7 @@ def _run_leg(
     ctx = RunContext.for_directory(
         directory,
         response_config=ResponseSpectrumConfig(periods=default_periods(SOAK_PERIODS)),
-        parallel=ParallelSettings.uniform(backend, num_workers=workers),
+        parallel=ParallelSettings(backend, num_workers=workers),
         metrics=registry,
         resilience=plan,
     )

@@ -29,7 +29,7 @@ POLICIES = PAPER_POLICIES + ("wavefront-parallel", "incremental")
 def _audited_run(root: Path, name: str, backend: str, tiny_dataset_dir: Path):
     from repro.core.context import ParallelSettings
 
-    ctx = make_context(root, parallel=ParallelSettings.uniform(backend, num_workers=2))
+    ctx = make_context(root, parallel=ParallelSettings(backend, num_workers=2))
     for src in tiny_dataset_dir.glob("*.v1"):
         shutil.copy2(src, ctx.workspace.input_dir / src.name)
     ctx.audit = True

@@ -30,7 +30,7 @@ def _run_audited(policy_name: str, backend: str, root: Path, dataset: Path):
     from repro.engine.policy import resolve_policy
 
     ctx = make_context(
-        root, parallel=ParallelSettings.uniform(backend, num_workers=2)
+        root, parallel=ParallelSettings(backend, num_workers=2)
     )
     for src in dataset.glob("*.v1"):
         shutil.copy2(src, ctx.workspace.input_dir / src.name)

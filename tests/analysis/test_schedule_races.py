@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 from repro.analysis import derive_redundant, race_findings, schedule_findings
+from repro.analysis.graphlint import RACES, task_effects, task_units, verify_policy
 from repro.analysis.model import ERROR, INFO
-from repro.analysis.races import atoms_may_collide, lit, stage_units, tpl
+from repro.analysis.races import atoms_may_collide, lit, process_unit_models, tpl
 from repro.core.registry import OPTIMIZED_ORDER, ORIGINAL_ORDER, REDUNDANT_PROCESSES
-from repro.core.stages import STAGES, SEQ
+from repro.core.stages import LOOP, STAGES, SEQ, TEMP_FOLDERS
+from repro.engine import PipelineBuilder, policy_by_name
+
+
+def _noop(ctx, result) -> None:
+    pass
 
 
 class TestScheduleDerivation:
@@ -32,12 +38,29 @@ class TestRaceProof:
         assert race_findings() == []
 
     def test_every_parallel_stage_modeled(self):
-        for stage in STAGES:
-            units = stage_units(stage)
+        """Every parallel region of the full-parallel plan (the paper's
+        Fig. 9 stages) has concurrent units to prove disjoint, and every
+        loop or temp-folder member its keyed per-unit model."""
+        _, regions = policy_by_name("full-parallel").plan(None)
+        assert [r.label for r in regions] == [stage.name for stage in STAGES]
+        for stage, region in zip(STAGES, regions):
             if stage.full_strategy == SEQ:
-                assert units == []
-            else:
-                assert units, stage.name
+                continue
+            for task in region.tasks:
+                findings: list = []
+                units = task_units(task, task_effects(task)[0], findings)
+                assert units and findings == [], stage.name
+                if task.strategy in (LOOP, TEMP_FOLDERS):
+                    assert process_unit_models(task.pid, task.strategy, stage.name)
+
+    def test_racing_plan_is_reported_as_a_race(self):
+        # Two unordered tasks writing the same file share a region.
+        builder = PipelineBuilder(name="racy")
+        builder.add_task("a", _noop, writes=("flags",), opaque=True)
+        builder.add_task("b", _noop, writes=("flags",), opaque=True)
+        races = [f for f in verify_policy(builder) if f.check == RACES]
+        assert races and all(f.severity == ERROR for f in races)
+        assert "write/write" in races[0].message
 
 
 class TestAtomAlgebra:

@@ -55,9 +55,9 @@ class TestWorkspace:
 
 class TestParallelSettings:
     def test_backend_coercion(self):
-        settings = ParallelSettings(loop_backend="process", task_backend="serial")
-        assert settings.loop_backend is Backend.PROCESS
-        assert settings.task_backend is Backend.SERIAL
+        assert ParallelSettings(backend="process").backend is Backend.PROCESS
+        assert ParallelSettings("serial").backend is Backend.SERIAL
+        assert ParallelSettings().backend is Backend.THREAD
 
     def test_workers_resolution(self):
         assert ParallelSettings(num_workers=5).workers == 5

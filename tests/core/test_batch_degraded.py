@@ -43,7 +43,7 @@ def run_batch(root: Path, impl_name: str, backend: str, plans: dict) -> Bulletin
         implementation=policy_by_name(impl_name).pipeline(),
         root=root,
         response_config=tiny_response_config(),
-        parallel=ParallelSettings.uniform(backend, num_workers=2),
+        parallel=ParallelSettings(backend, num_workers=2),
         resilience_plans=plans,
     )
     return runner.run([OK_EVENT, BAD_EVENT], title="Degraded-mode test bulletin")

@@ -71,10 +71,32 @@ class TestContextFromConfig:
         assert ctx.response_config.dampings == (0.05,)
 
     def test_parallel_section(self, tmp_path):
-        config = {"parallel": {"loop_backend": "process", "num_workers": 3}}
+        config = {"parallel": {"backend": "process", "num_workers": 3}}
         ctx = context_from_config(tmp_path / "ws", config)
-        assert ctx.parallel.loop_backend.value == "process"
+        assert ctx.parallel.backend.value == "process"
         assert ctx.parallel.workers == 3
+
+    @pytest.mark.parametrize(
+        ("config", "match"),
+        [
+            ({"parallel": {"num_workers": "two"}}, "num_workers"),
+            ({"parallel": {"num_workers": 0}}, "num_workers"),
+            ({"filter": {"f_pass_low": "x"}}, "ill-typed"),
+            ({"inflection": {"persistence": None}}, "ill-typed"),
+            ({"taper_fraction": [0.1]}, "ill-typed"),
+            ({"response": {"periods": 12}}, "'response.periods' must be a JSON object"),
+            ({"response": {"periods": {"cuont": 12}}}, "cuont"),
+            ({"parallel": []}, "'parallel' must be a JSON object"),
+            ({"parallel": {"loop_backend": "process"}}, "'backend'"),
+            ({"parallel": {"task_backend": "process"}}, "'backend'"),
+            ({"parallel": {"tool_backend": "process"}}, "'backend'"),
+            ({"filter": {"f_pass_lo": 0.2}}, "f_pass_lo"),
+        ],
+    )
+    def test_malformed_config_is_a_pipeline_error(self, tmp_path, config, match):
+        with pytest.raises(PipelineError, match=match):
+            context_from_config(tmp_path / "ws", config)
+        assert not (tmp_path / "ws").exists()
 
     def test_bad_filter_rejected_at_build(self, tmp_path):
         from repro.errors import ReproError

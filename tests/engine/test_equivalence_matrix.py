@@ -41,7 +41,7 @@ def _run_leg(
     registry = MetricsRegistry()
     ctx = make_context(
         root,
-        parallel=ParallelSettings.uniform(backend, num_workers=2),
+        parallel=ParallelSettings(backend, num_workers=2),
         metrics=registry,
         resilience=plan,
     )

@@ -3,8 +3,9 @@
 An engine run pins every loaded OpenBLAS to one thread for its
 duration (driver, thread workers and process workers alike) and gives
 the caller's thread counts back afterwards, also when the run fails.
-Every loop and task region of a process-backend run shares one
-process pool.
+Every worker pool, also one built outside a run, holds the same pin
+while it is open.  Every loop and task region of a process-backend run
+shares one process pool, and a plan with nothing parallel builds none.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import shutil
 import threading
+import time
 import uuid
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -61,8 +63,33 @@ def _os_threads() -> int:
     return len(os.listdir("/proc/self/task"))
 
 
+def _sleep_and_count_threads(_item=None) -> int:
+    """A pool body: idle a while, then count this worker's OS threads.
+    A BLAS thread server started in the worker shows up as extra
+    threads."""
+    time.sleep(0.3)
+    return _os_threads()
+
+
+def _pool_counts(kind: str) -> set[int]:
+    """Thread counts seen by two bodies on a process pool that ``kind``
+    builds outside any engine run."""
+    if kind == "parallel_for":
+        return set(omp.parallel_for(
+            _sleep_and_count_threads, [0, 1], backend="process", num_workers=2
+        ))
+    if kind == "task_group":
+        with omp.TaskGroup(backend="process", num_workers=2) as tg:
+            tg.task(_sleep_and_count_threads)
+            tg.task(_sleep_and_count_threads)
+        return set(tg.results)
+    with omp.shared_executor("process", 2) as pool:
+        futures = [pool.submit(_sleep_and_count_threads) for _ in range(2)]
+        return {f.result() for f in futures}
+
+
 def _context(root: Path, dataset: Path, backend: str):
-    ctx = make_context(root, parallel=ParallelSettings.uniform(backend, num_workers=2))
+    ctx = make_context(root, parallel=ParallelSettings(backend, num_workers=2))
     for src in dataset.glob("*.v1"):
         shutil.copy2(src, ctx.workspace.input_dir / src.name)
     return ctx
@@ -122,6 +149,15 @@ def test_forked_workers_leave_blas_alone(two_blas_threads):
     assert counts == {1}
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("kind", ["parallel_for", "task_group", "shared_executor"])
+def test_pools_outside_a_run_pin_blas(kind, two_blas_threads):
+    """A pool a caller builds directly pins BLAS while it is open, so its
+    workers fork single-threaded, and hands the caller's count back."""
+    assert _pool_counts(kind) == {1}
+    assert set(blas_threads().values()) == {2}
+
+
 def test_failing_run_restores_blas(two_blas_threads, tmp_path, tiny_dataset_dir):
     seen: list[set[int]] = []
 
@@ -153,3 +189,16 @@ def test_one_process_pool_per_run(policy, tmp_path, tiny_dataset_dir, monkeypatc
     ctx = _context(tmp_path / "ws", tiny_dataset_dir, "process")
     policy_by_name(policy).run(ctx)
     assert len(built) == 1
+
+
+def test_plan_without_parallel_regions_builds_no_pool(
+    tmp_path, tiny_dataset_dir, monkeypatch
+):
+    opened: list[object] = []
+    monkeypatch.setattr(
+        engine_executor, "shared_executor",
+        lambda *args: opened.append(args) or omp.shared_executor(*args),
+    )
+    ctx = _context(tmp_path / "ws", tiny_dataset_dir, "process")
+    policy_by_name("seq-optimized").run(ctx)
+    assert opened == []

@@ -34,10 +34,7 @@ def serial_reference(tmp_path_factory, single_dataset_dir):
     return run_with(
         tmp_path_factory,
         single_dataset_dir,
-        ParallelSettings(
-            loop_backend="serial", task_backend="serial", tool_backend="serial",
-            num_workers=1,
-        ),
+        ParallelSettings(backend="serial", num_workers=1),
     )
 
 
@@ -59,12 +56,7 @@ class TestBackendEquivalence:
         multiproc = run_with(
             tmp_path_factory,
             single_dataset_dir,
-            ParallelSettings(
-                loop_backend="process",
-                task_backend="thread",
-                tool_backend="process",
-                num_workers=2,
-            ),
+            ParallelSettings(backend="process", num_workers=2),
         )
         assert multiproc == serial_reference
 

@@ -37,7 +37,7 @@ def _run_with_events(tmp_path, backend, *, tracer=False):
     workload = scaled_workload(event, 0.02)
     ctx = RunContext.for_directory(
         tmp_path / f"ws-{backend}",
-        parallel=ParallelSettings.uniform(backend, num_workers=2),
+        parallel=ParallelSettings(backend, num_workers=2),
         response_config=small_response_config(n_periods=20),
     )
     ctx.events = True

@@ -46,9 +46,7 @@ def _entry(total_s=2.0, stages=None, **overrides):
 def _fake_run(total_s=1.5, quarantine=()):
     ctx = SimpleNamespace(
         workspace=SimpleNamespace(root="/tmp/ws"),
-        parallel=SimpleNamespace(
-            loop_backend=SimpleNamespace(value="thread"), workers=2
-        ),
+        parallel=SimpleNamespace(backend=SimpleNamespace(value="thread"), workers=2),
     )
     result = SimpleNamespace(
         implementation="dag-parallel",

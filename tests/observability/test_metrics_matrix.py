@@ -35,7 +35,7 @@ def dataset_dir(tmp_path_factory: pytest.TempPathFactory) -> Path:
 def metered_run(tmp_path: Path, dataset_dir: Path, impl_name: str, backend: str):
     ctx = make_context(
         tmp_path / "ws",
-        parallel=ParallelSettings.uniform(backend, num_workers=2),
+        parallel=ParallelSettings(backend, num_workers=2),
     )
     for src in dataset_dir.glob("*.v1"):
         shutil.copy2(src, ctx.workspace.input_dir / src.name)

@@ -34,7 +34,7 @@ def dataset_dir(tmp_path_factory: pytest.TempPathFactory) -> Path:
 def traced_run(tmp_path: Path, dataset_dir: Path, policy: str, backend: str):
     ctx = make_context(
         tmp_path / "ws",
-        parallel=ParallelSettings.uniform(backend, num_workers=2),
+        parallel=ParallelSettings(backend, num_workers=2),
     )
     for src in dataset_dir.glob("*.v1"):
         shutil.copy2(src, ctx.workspace.input_dir / src.name)
@@ -68,7 +68,7 @@ def test_full_parallel_trace_all_backends(
     assert len(roots) == 1 and roots[0].kind == "run"
     run = roots[0]
     assert run.attributes["implementation"] == "full-parallel"
-    assert run.attributes["loop_backend"] == backend
+    assert run.attributes["backend"] == backend
     (impl_span,) = trace.children(run)
     assert impl_span.kind == "implementation"
     stages = [s for s in trace.children(impl_span) if s.kind == "stage"]

@@ -23,7 +23,7 @@ def traced_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("report-run")
     ctx = RunContext.for_directory(
         root / "ws",
-        parallel=ParallelSettings.uniform("thread", num_workers=2),
+        parallel=ParallelSettings("thread", num_workers=2),
         response_config=small_response_config(n_periods=20),
     )
     ctx.tracer = Tracer()
@@ -90,7 +90,7 @@ class TestReportCli:
         workload = scaled_workload(event, 0.02)
         ctx = RunContext.for_directory(
             tmp_path / "ws",
-            parallel=ParallelSettings.uniform("thread", num_workers=2),
+            parallel=ParallelSettings("thread", num_workers=2),
             response_config=small_response_config(n_periods=20),
         )
         ctx.events = True

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 import shutil
 import warnings
@@ -134,10 +136,16 @@ def test_facade_is_exported() -> None:
 
 
 def test_uniform_settings_coerce_strings() -> None:
-    settings = ParallelSettings.uniform("process", num_workers=3)
-    assert settings.loop_backend == Backend.PROCESS
-    assert settings.task_backend == Backend.PROCESS
-    assert settings.tool_backend == Backend.PROCESS
+    settings = ParallelSettings("process", num_workers=3)
+    assert settings.backend == Backend.PROCESS
     assert settings.num_workers == 3
+    assert ParallelSettings.uniform("process", num_workers=3) == settings
     with pytest.raises(Exception):
-        ParallelSettings.uniform("not-a-backend")
+        ParallelSettings("not-a-backend")
+
+
+def test_run_takes_no_settings_parameter() -> None:
+    assert "settings" not in inspect.signature(repro.run).parameters
+    assert {f.name for f in dataclasses.fields(ParallelSettings)} == {
+        "backend", "num_workers",
+    }

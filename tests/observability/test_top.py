@@ -16,7 +16,7 @@ def _stream(*, finished=True, with_retry=False):
     events = [
         {"type": "run_started", "t": 10.0, "pid": 1, "tid": 1, "seq": 1,
          "schema": SCHEMA, "implementation": "dag-parallel",
-         "workspace": "/ws", "workers": 2, "loop_backend": "thread"},
+         "workspace": "/ws", "workers": 2, "backend": "thread"},
         {"type": "plan", "t": 10.01, "pid": 1, "tid": 1, "seq": 2,
          "policy": "dag-parallel", "regions": [
              {"label": "G1", "strategy": "custom", "tasks": ["p00"]},
@@ -72,6 +72,7 @@ class TestRunView:
         assert view.implementation == "dag-parallel"
         assert view.policy == "dag-parallel"
         assert view.workers == 2
+        assert view.backend == "thread"
         assert view.total_s == pytest.approx(0.61)
         assert [s.name for s in view.stages] == ["G1", "G2"]
         g1, g2 = view.stages

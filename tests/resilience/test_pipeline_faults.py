@@ -45,7 +45,7 @@ def dataset_dir(tmp_path_factory: pytest.TempPathFactory) -> Path:
 def run_with(tmp_path, dataset_dir, impl_name, plan, backend="thread"):
     ctx = make_context(
         tmp_path / "ws",
-        parallel=ParallelSettings.uniform(backend, num_workers=2),
+        parallel=ParallelSettings(backend, num_workers=2),
     )
     for src in dataset_dir.glob("*.v1"):
         shutil.copy2(src, ctx.workspace.input_dir / src.name)
