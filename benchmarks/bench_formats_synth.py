@@ -69,6 +69,23 @@ def test_bench_format_path_crossover(benchmark, path, n):
     assert text == format_fixed_block(values)
 
 
+#: The two parser paths on the same blocks, around the cut: the ``S15``
+#: cast below it, digit arithmetic from it on.
+PARSE_CUT = common._DIGITS_MIN_VALUES
+PARSE_CROSSOVER = {n: RNG.normal(size=n) for n in (128, 256, PARSE_CUT, 512, 1024, 2000)}
+PARSE_PATHS = {"cast": common._cast_fields, "digits": common._parse_fields}
+
+
+@pytest.mark.parametrize("n", sorted(PARSE_CROSSOVER))
+@pytest.mark.parametrize("path", sorted(PARSE_PATHS))
+def test_bench_parse_path_crossover(benchmark, path, n):
+    values = PARSE_CROSSOVER[n]
+    text = format_fixed_block(values).replace("\n", "")
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(n, 15)
+    parsed = benchmark(PARSE_PATHS[path], raw)
+    assert np.array_equal(parsed.view(np.uint64), common._cast_fields(raw).view(np.uint64))
+
+
 @pytest.mark.parametrize("block", sorted(BLOCKS))
 def test_bench_fixed_block_parse(benchmark, block):
     values = BLOCKS[block]

@@ -13,9 +13,11 @@ from repro.dsp.fft import fft_pure, rfft
 from repro.dsp.fir import DEFAULT_BANDPASS, design_bandpass, fir_filter
 from repro.spectra.response import (
     ResponseSpectrumConfig,
+    default_periods,
     response_spectrum_duhamel,
     response_spectrum_nigam_jennings,
 )
+from tests.spectra.reference import nigam_jennings_loop
 
 RNG = np.random.default_rng(11)
 SIGNAL_4K = RNG.normal(size=4096)
@@ -42,6 +44,20 @@ def test_bench_filter_apply(benchmark):
 
 def test_bench_response_nigam_jennings(benchmark):
     benchmark(response_spectrum_nigam_jennings, SIGNAL_4K, DT, CONFIG)
+
+
+#: One EV-NOV18-sized trace on the pipeline's default 500-oscillator grid.
+TRACE_11K = RNG.normal(size=11_200) * np.hanning(11_200)
+GRID_500 = ResponseSpectrumConfig(periods=default_periods(100))
+
+
+@pytest.mark.parametrize("pseudo", [False, True])
+def test_bench_response_p16_trace(benchmark, pseudo):
+    config = ResponseSpectrumConfig(periods=GRID_500.periods, pseudo=pseudo)
+    spectrum = benchmark(response_spectrum_nigam_jennings, TRACE_11K, DT, config)
+    # The old per-oscillator lfilter loop, bit for bit.
+    for got, want in zip((spectrum.sd, spectrum.sv, spectrum.sa), nigam_jennings_loop(TRACE_11K, DT, config)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_bench_response_duhamel_1k(benchmark):

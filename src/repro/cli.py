@@ -19,6 +19,7 @@ from pathlib import Path
 from repro.core import RunContext
 from repro.core.context import ParallelSettings
 from repro.engine import PAPER_POLICIES, pipeline_factory, policy_names
+from repro.errors import ReproError
 from repro.parallel.backend import Backend
 from repro.spectra.response import ResponseSpectrumConfig, default_periods
 
@@ -116,11 +117,15 @@ def _build_process_parser() -> argparse.ArgumentParser:
 
 def main_process(argv: list[str] | None = None) -> int:
     """Entry point of ``repro-process``."""
-    args = _build_process_parser().parse_args(argv)
+    parser = _build_process_parser()
+    args = parser.parse_args(argv)
     if args.config:
         from repro.core.config_io import context_from_config, load_config
 
-        ctx = context_from_config(args.workspace, load_config(args.config))
+        try:
+            ctx = context_from_config(args.workspace, load_config(args.config))
+        except ReproError as exc:
+            parser.error(f"--config: {exc}")
     else:
         ctx = RunContext.for_directory(
             args.workspace,

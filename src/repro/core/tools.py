@@ -26,6 +26,7 @@ from repro.dsp.fir import BandPassSpec, design_bandpass, fir_filter
 from repro.dsp.integrate import acceleration_to_motion
 from repro.dsp.peak import peak_ground_motion
 from repro.errors import MissingArtifactError, PipelineError
+from repro.formats.common import read_text
 from repro.formats.params import read_filter_params
 from repro.formats.fourier import FourierRecord, write_fourier
 from repro.formats.v1 import ComponentRecord, read_component_v1
@@ -57,7 +58,7 @@ def read_tool_config(folder: Path | str) -> dict[str, str]:
     if not path.exists():
         raise MissingArtifactError(str(path))
     settings: dict[str, str] = {}
-    for line in path.read_text().splitlines():
+    for line in read_text(path, PipelineError).splitlines():
         tokens = line.split(maxsplit=1)
         if len(tokens) == 2:
             settings[tokens[0].upper()] = tokens[1]

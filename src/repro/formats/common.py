@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import DataBlockError, HeaderError, MissingArtifactError
+from repro.errors import DataBlockError, FormatError, HeaderError, MissingArtifactError, ReproError
 
 #: Component codes in pipeline order: longitudinal, transversal, vertical.
 COMPONENTS: tuple[str, str, str] = ("l", "t", "v")
@@ -208,8 +208,10 @@ def parse_fixed_block(lines: list[str], count: int, *, path: str = "<memory>") -
     ``lines`` must contain exactly the lines of one block (as produced
     by :func:`format_fixed_block`).  A block whose lines are whole
     15-character fields, ``count`` of them, in ASCII without NUL bytes
-    is cast in one numpy call (numpy's bytes-to-float cast follows
-    ``float()``; NUL is excluded because numpy drops trailing NULs).
+    is parsed by numpy: a block shorter than ``_DIGITS_MIN_VALUES`` in
+    one ``S15`` to float cast (numpy's cast follows ``float()``; NUL is
+    excluded because numpy drops trailing NULs), a longer one from its
+    digits by :func:`_parse_fields`, which gives the cast's bits.
     Anything else, and any field the cast rejects, goes through the
     per-field loop, which skips blank fields and names the bad one.
     """
@@ -220,7 +222,13 @@ def parse_fixed_block(lines: list[str], count: int, *, path: str = "<memory>") -
         and "\x00" not in text
     ):
         try:
-            return np.frombuffer(text.encode("ascii"), dtype=f"S{_FIELD_WIDTH}").astype(float)
+            raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(count, _FIELD_WIDTH)
+            if count < _DIGITS_MIN_VALUES:
+                return _cast_fields(raw)
+            values = np.empty(count)
+            for start in range(0, count, _PARSE_CHUNK):
+                values[start : start + _PARSE_CHUNK] = _parse_fields(raw[start : start + _PARSE_CHUNK])
+            return values
         except (UnicodeEncodeError, ValueError):
             pass
     values: list[float] = []
@@ -237,6 +245,90 @@ def parse_fixed_block(lines: list[str], count: int, *, path: str = "<memory>") -
     if len(values) != count:
         raise DataBlockError(f"{path}: expected {count} values, found {len(values)}")
     return np.asarray(values, dtype=float)
+
+
+#: Shortest block parsed from its digits.  The digit path costs 30-50 µs
+#: a block plus about 0.02 µs a value, the cast 0.11-0.18 µs a
+#: value: measured crossovers lie between 256 and 448 values
+#: (docs/file_formats.md).  ``benchmarks/bench_formats_synth.py`` times
+#: both paths.
+_DIGITS_MIN_VALUES = 384
+#: Fields parsed per numpy pass; it keeps the temporaries near 128 KB.
+_PARSE_CHUNK = 8_192
+#: A canonical field is " sD.DDDDDDDE±XX".  Less the low byte of its
+#: column, each of its digits lies in [0, 9] and each fixed byte is 0;
+#: the two sign bytes are checked by :data:`_SIGN` and
+#: :data:`_EXPONENT_SIGN` instead.
+_FIELD_LOW = np.frombuffer(b"  0.0000000E\x0000", dtype=np.uint8)
+_FIELD_SPAN = np.array([0, 255, 9, 0, 9, 9, 9, 9, 9, 9, 9, 0, 255, 9, 9], dtype=np.uint8)
+_LOW_TILE = np.tile(_FIELD_LOW, _PARSE_CHUNK)
+_SPAN_TILE = np.tile(_FIELD_SPAN, _PARSE_CHUNK)
+#: The value's sign keyed by byte 1 (NaN marks a byte that is not one).
+_SIGN = np.full(256, np.nan)
+_SIGN[[ord(" "), ord("-")]] = 1.0, -1.0
+#: The exponent's sign keyed by byte 12 (0 marks a byte that is not one).
+_EXPONENT_SIGN = np.zeros(256, dtype=np.int64)
+_EXPONENT_SIGN[[ord("+"), ord("-")]] = 1, -1
+
+
+def _cast_fields(raw: np.ndarray) -> np.ndarray:
+    """The ``(n, 15)`` byte fields through numpy's ``S15`` to float cast."""
+    return raw.view(f"S{_FIELD_WIDTH}").ravel().astype(float)
+
+
+def _parse_fields(raw: np.ndarray) -> np.ndarray:
+    """Values of the ``(n, 15)`` byte fields, from digits; see docs/file_formats.md.
+
+    A canonical field's value is its 8-digit mantissa ``m`` (below
+    2**53) times ``10**(e - 7)``.  With ``|e - 7| <= 22`` the power is
+    exact, so one multiply or divide rounds the exact product once,
+    correctly (Clinger's fast path), which is what the correctly
+    rounded cast gives.  The sign is a last multiply by +-1.0, so
+    "-0.0000000E+00" is -0.0.  Every other field (three-digit
+    exponents, NAN, blanks, other spellings or spacing, exponents out
+    of range) goes through the cast, and a field the cast rejects
+    raises ``ValueError``.
+    """
+    size = raw.size
+    d = (raw.reshape(size) - _LOW_TILE[:size]).reshape(raw.shape)
+    over = d.reshape(size) > _SPAN_TILE[:size]
+    irregular = over.reshape(raw.shape).any(axis=1) if over.any() else np.zeros(len(raw), dtype=bool)
+    sign = _SIGN.take(raw[:, 1])
+    irregular |= np.isnan(sign)
+    exponent_sign = _EXPONENT_SIGN.take(raw[:, 12])
+    irregular |= exponent_sign == 0
+    shift = exponent_sign * (d[:, 13] * np.int64(10) + d[:, 14]) - 7
+    irregular |= np.abs(shift) >= _EXACT_POW10.size
+    values = _mantissa(d).astype(float)
+    values *= _EXACT_POW10.take(shift, mode="clip")
+    values /= _EXACT_POW10.take(-shift, mode="clip")
+    values *= sign
+    if irregular.any():
+        values[irregular] = _cast_fields(raw[irregular])
+    return values
+
+
+def _mantissa(d: np.ndarray) -> np.ndarray:
+    """The integer of each field's eight digits, eight bytes at a time.
+
+    The little-endian word at byte 3 holds the "." (0 once its low
+    byte is taken off) and digits 4-10; the leading digit is put in
+    the "."'s place, so the word's bytes are the eight digits, most
+    significant first.  Three multiply-shift steps then fold
+    neighbouring digits into pairs, pairs into fours and fours into
+    the value.
+    """
+    word = np.ndarray((len(d),), dtype="<u8", buffer=d, offset=3, strides=(_FIELD_WIDTH,))
+    word = word | d[:, 2]
+    word *= np.uint64(10 * 2**8 + 1)
+    word >>= np.uint64(8)
+    word &= np.uint64(0x00FF00FF00FF00FF)
+    word *= np.uint64(100 * 2**16 + 1)
+    word >>= np.uint64(16)
+    word &= np.uint64(0x0000FFFF0000FFFF)
+    word *= np.uint64(10_000 * 2**32 + 1)
+    word >>= np.uint64(32)
+    return word
 
 
 def block_line_count(count: int) -> int:
@@ -368,4 +460,12 @@ def read_lines(path: Path | str, *, process: str | None = None) -> list[str]:
     path = as_path(path)
     if not path.exists():
         raise MissingArtifactError(str(path), process)
-    return path.read_text().splitlines()
+    return read_text(path).splitlines()
+
+
+def read_text(path: Path, error: type[ReproError] = FormatError) -> str:
+    """The file's text; bytes that do not decode raise ``error``, not ``UnicodeDecodeError``."""
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: undecodable byte at offset {exc.start}") from exc

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.errors import FormatError, MissingArtifactError
-from repro.formats.common import as_path
+from repro.errors import FormatError
+from repro.formats.common import as_path, read_lines
 
 
 def write_filelist(path: Path | str, names: list[str]) -> None:
@@ -28,9 +28,7 @@ def write_filelist(path: Path | str, names: list[str]) -> None:
 def read_filelist(path: Path | str, *, process: str | None = None) -> list[str]:
     """Read a plain file list."""
     path = as_path(path)
-    if not path.exists():
-        raise MissingArtifactError(str(path), process)
-    lines = path.read_text().splitlines()
+    lines = read_lines(path, process=process)
     if not lines or lines[0].strip() != "OANT FILE LIST":
         raise FormatError(f"{path}: not a file list")
     try:
@@ -67,9 +65,7 @@ def write_metadata(path: Path | str, meta: MetadataFile) -> None:
 def read_metadata(path: Path | str, *, process: str | None = None) -> MetadataFile:
     """Read a stage metadata file."""
     path = as_path(path)
-    if not path.exists():
-        raise MissingArtifactError(str(path), process)
-    lines = path.read_text().splitlines()
+    lines = read_lines(path, process=process)
     if not lines or lines[0].strip() != "OANT STAGE METADATA":
         raise FormatError(f"{path}: not a stage metadata file")
     try:

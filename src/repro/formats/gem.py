@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import DataBlockError, HeaderError, MissingArtifactError
-from repro.formats.common import as_path, format_fixed_block, parse_fixed_block
+from repro.errors import DataBlockError, HeaderError
+from repro.formats.common import as_path, format_fixed_block, parse_fixed_block, read_lines
 
 #: Source codes: "2" = V2 time series, "R" = response spectrum.
 GEM_SOURCES: tuple[str, str] = ("2", "R")
@@ -85,9 +85,7 @@ def write_gem(path: Path | str, series: GemSeries) -> None:
 def read_gem(path: Path | str, *, process: str | None = None) -> GemSeries:
     """Read a GEM series file."""
     path = as_path(path)
-    if not path.exists():
-        raise MissingArtifactError(str(path), process)
-    lines = path.read_text().splitlines()
+    lines = read_lines(path, process=process)
     if len(lines) < 2 or not lines[0].startswith("GEM "):
         raise HeaderError(f"{path}: not a GEM series file")
     try:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.dsp.fir import BandPassSpec
-from repro.errors import FormatError, MissingArtifactError
-from repro.formats.common import as_path
+from repro.errors import FormatError
+from repro.formats.common import as_path, read_lines
 
 
 @dataclass
@@ -70,9 +70,7 @@ def write_filter_params(path: Path | str, params: FilterParams) -> None:
 def read_filter_params(path: Path | str, *, process: str | None = None) -> FilterParams:
     """Read a filter-parameter file."""
     path = as_path(path)
-    if not path.exists():
-        raise MissingArtifactError(str(path), process)
-    lines = path.read_text().splitlines()
+    lines = read_lines(path, process=process)
     if not lines or lines[0].strip() != "OANT FILTER PARAMETERS":
         raise FormatError(f"{path}: not a filter parameter file")
     default: BandPassSpec | None = None

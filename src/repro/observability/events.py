@@ -427,9 +427,18 @@ def write_events(path: Path | str, events: list[dict[str, Any]]) -> None:
 
 
 def read_events_file(path: Path | str) -> list[dict[str, Any]]:
-    """Read a single merged JSONL file written by :func:`write_events`."""
+    """Read a single merged JSONL file written by :func:`write_events`.
+
+    A torn last line, cut mid-record or mid-character by a killed
+    writer, is skipped, as :func:`read_events` skips one in a live
+    shard; an undecodable line before it raises ``ValueError``.
+    """
+    lines = [line for line in Path(path).read_bytes().splitlines() if line.strip()]
     events = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
+    for i, line in enumerate(lines):
+        try:
             events.append(json.loads(line))
+        except ValueError:  # JSONDecodeError or UnicodeDecodeError
+            if i < len(lines) - 1:
+                raise
     return events

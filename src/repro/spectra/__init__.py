@@ -34,7 +34,6 @@ from repro.spectra.response import (
     sdof_response_history,
     response_spectrum,
     response_spectrum_nigam_jennings,
-    response_spectrum_nigam_jennings_vectorized,
     response_spectrum_duhamel,
     response_spectrum_frequency_domain,
     paper_grid,
@@ -57,7 +56,6 @@ __all__ = [
     "sdof_response_history",
     "response_spectrum",
     "response_spectrum_nigam_jennings",
-    "response_spectrum_nigam_jennings_vectorized",
     "response_spectrum_duhamel",
     "response_spectrum_frequency_domain",
     "paper_grid",

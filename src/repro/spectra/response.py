@@ -11,9 +11,9 @@ Three solvers are provided:
     Exact for piecewise-linear excitation (Nigam & Jennings, 1969).
     The one-step state transition is computed from the closed-form
     matrix exponential; the two-state recursion is collapsed to a
-    second-order scalar difference equation and evaluated with
-    ``scipy.signal.lfilter`` (C speed, exact initial conditions) —
-    O(D) per oscillator.
+    second-order scalar difference equation and evaluated with the
+    compiled filter behind ``scipy.signal.lfilter`` (exact initial
+    conditions) — O(D) per oscillator.
 
 ``duhamel``
     Direct evaluation of the Duhamel convolution integral — O(D^2)
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal._sigtools import _linear_filter
 
 from repro.errors import SignalError
 
@@ -74,13 +74,7 @@ class ResponseSpectrumConfig:
             raise SignalError(f"periods must be finite, positive and non-empty, got {self.periods}")
         if not all(0 <= d < 1 for d in self.dampings):
             raise SignalError(f"damping ratios must be in [0, 1), got {self.dampings}")
-        if self.method not in (
-            "auto",
-            "nigam_jennings",
-            "nigam_jennings_vectorized",
-            "duhamel",
-            "frequency_domain",
-        ):
+        if self.method not in ("nigam_jennings", "duhamel", "frequency_domain"):
             raise SignalError(f"unknown response-spectrum method {self.method!r}")
 
     @property
@@ -248,12 +242,37 @@ def _filters_for(dt_key: bytes, periods_key: bytes, dampings_key: bytes) -> _Osc
     return _OscillatorFilters(*columns)
 
 
-def _forcing(acc: np.ndarray) -> np.ndarray:
-    """The SDOF forcing ``p = -a_g`` of a non-empty record."""
+def _record(acc: np.ndarray) -> np.ndarray:
+    """A non-empty record as floats."""
     acc = np.asarray(acc, dtype=float)
     if acc.size == 0:
         raise SignalError("cannot compute the response of an empty record")
-    return -acc
+    return acc
+
+
+def _peak_grids(config: ResponseSpectrumConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Empty (dampings, periods) grids for SD, SV and SA."""
+    shape = (len(config.dampings), config.periods.size)
+    return np.empty(shape), np.empty(shape), np.empty(shape)
+
+
+def _spectrum(config: ResponseSpectrumConfig, sd, sv, sa) -> ResponseSpectrum:
+    """The spectrum of ``config``'s grid with the given peaks."""
+    return ResponseSpectrum(config.periods.copy(), np.asarray(config.dampings, dtype=float), sa, sv, sd)
+
+
+def _filtered(num: np.ndarray, den: np.ndarray, p: np.ndarray, zi: np.ndarray) -> np.ndarray:
+    """``lfilter(num, den, p, zi=zi)[0]`` without ``lfilter``'s per-call wrapper.
+
+    ``_linear_filter`` is the compiled direct-form-II-transposed routine
+    ``lfilter`` runs when ``den`` has more than one tap: same bits.
+    """
+    return _linear_filter(num, den, p, -1, zi)[0]
+
+
+def _peak(a: np.ndarray) -> float:
+    """``np.max(np.abs(a))`` without the temporary; ``abs`` turns -0.0 into +0.0."""
+    return abs(max(a.max(), -a.min()))
 
 
 def _history(
@@ -261,8 +280,8 @@ def _history(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Response histories (x, v, total acceleration) of oscillator ``k``."""
     den = filters.den[k]
-    x, _ = lfilter(filters.num_x[k], den, p, zi=p[0] * filters.zi_x[k])
-    v, _ = lfilter(filters.num_v[k], den, p, zi=p[0] * filters.zi_v[k])
+    x = _filtered(filters.num_x[k], den, p, p[0] * filters.zi_x[k])
+    v = _filtered(filters.num_v[k], den, p, p[0] * filters.zi_v[k])
     w = 2.0 * np.pi / period
     # Total acceleration from the equation of motion:
     # x'' + a_g = -2 zeta w v - w^2 x.
@@ -278,39 +297,46 @@ def sdof_response_history(
     Exact for piecewise-linear ground acceleration; used by tests and
     by callers who need time histories rather than spectra.
     """
-    p = _forcing(acc)
+    p = -_record(acc)
     return _history(p, _oscillator_filters(dt, (period,), (damping,)), 0, period, damping)
 
 
 def response_spectrum_nigam_jennings(
     acc: np.ndarray, dt: float, config: ResponseSpectrumConfig
 ) -> ResponseSpectrum:
-    """Response spectrum via the Nigam–Jennings recursion (O(D) each)."""
-    p = _forcing(acc)
+    """Response spectrum via the Nigam–Jennings recursion (O(D) each).
+
+    The loop of :func:`_history` and ``np.max(np.abs(.))`` peaks with
+    its per-oscillator overhead taken out, bit for bit: the initial
+    states of the whole grid in two products, the total acceleration
+    built from :func:`_history`'s products in one reused buffer, and
+    no velocity filter in ``pseudo`` mode, where it is unused.
+    """
+    p = -_record(acc)
     filters = _oscillator_filters(dt, config.periods, config.dampings)
-    n_d = len(config.dampings)
+    zi_x = p[0] * filters.zi_x
+    zi_v = p[0] * filters.zi_v
     n_t = config.periods.size
-    sd = np.empty((n_d, n_t))
-    sv = np.empty((n_d, n_t))
-    sa = np.empty((n_d, n_t))
+    sd, sv, sa = _peak_grids(config)
+    total_acc, stiffness = np.empty_like(p), np.empty_like(p)
     for di, zeta in enumerate(config.dampings):
         for ti, period in enumerate(config.periods):
-            x, v, ta = _history(p, filters, di * n_t + ti, period, zeta)
+            k = di * n_t + ti
+            den = filters.den[k]
+            x = _filtered(filters.num_x[k], den, p, zi_x[k])
             w = 2.0 * np.pi / period
-            sd[di, ti] = np.max(np.abs(x))
+            sd[di, ti] = _peak(x)
             if config.pseudo:
                 sv[di, ti] = w * sd[di, ti]
                 sa[di, ti] = w * w * sd[di, ti]
-            else:
-                sv[di, ti] = np.max(np.abs(v))
-                sa[di, ti] = np.max(np.abs(ta))
-    return ResponseSpectrum(
-        periods=config.periods.copy(),
-        dampings=np.asarray(config.dampings, dtype=float),
-        sa=sa,
-        sv=sv,
-        sd=sd,
-    )
+                continue
+            v = _filtered(filters.num_v[k], den, p, zi_v[k])
+            sv[di, ti] = _peak(v)
+            np.multiply(-2.0 * zeta * w, v, out=total_acc)
+            np.multiply(w * w, x, out=stiffness)
+            np.subtract(total_acc, stiffness, out=total_acc)
+            sa[di, ti] = _peak(total_acc)
+    return _spectrum(config, sd, sv, sa)
 
 
 def response_spectrum_duhamel(
@@ -325,16 +351,10 @@ def response_spectrum_duhamel(
     Velocity is obtained with the companion kernel; SA from the
     equation of motion.
     """
-    acc = np.asarray(acc, dtype=float)
-    if acc.size == 0:
-        raise SignalError("cannot compute the response of an empty record")
+    acc = _record(acc)
     n = acc.size
     t = np.arange(n) * dt
-    n_d = len(config.dampings)
-    n_t = config.periods.size
-    sd = np.empty((n_d, n_t))
-    sv = np.empty((n_d, n_t))
-    sa = np.empty((n_d, n_t))
+    sd, sv, sa = _peak_grids(config)
     for di, zeta in enumerate(config.dampings):
         for ti, period in enumerate(config.periods):
             w = 2.0 * np.pi / period
@@ -354,13 +374,7 @@ def response_spectrum_duhamel(
             else:
                 sv[di, ti] = np.max(np.abs(v))
                 sa[di, ti] = np.max(np.abs(ta))
-    return ResponseSpectrum(
-        periods=config.periods.copy(),
-        dampings=np.asarray(config.dampings, dtype=float),
-        sa=sa,
-        sv=sv,
-        sd=sd,
-    )
+    return _spectrum(config, sd, sv, sa)
 
 
 def response_spectrum_frequency_domain(
@@ -372,9 +386,7 @@ def response_spectrum_frequency_domain(
     slowest oscillator to ring down, avoiding circular-convolution
     wrap-around.
     """
-    acc = np.asarray(acc, dtype=float)
-    if acc.size == 0:
-        raise SignalError("cannot compute the response of an empty record")
+    acc = _record(acc)
     n = acc.size
     max_period = float(np.max(config.periods))
     min_damping = max(min(config.dampings), 0.01)
@@ -384,11 +396,7 @@ def response_spectrum_frequency_domain(
     spec = np.fft.rfft(acc, m)
     freqs = np.fft.rfftfreq(m, dt)
     omega = 2.0 * np.pi * freqs
-    n_d = len(config.dampings)
-    n_t = config.periods.size
-    sd = np.empty((n_d, n_t))
-    sv = np.empty((n_d, n_t))
-    sa = np.empty((n_d, n_t))
+    sd, sv, sa = _peak_grids(config)
     for di, zeta in enumerate(config.dampings):
         for ti, period in enumerate(config.periods):
             w = 2.0 * np.pi / period
@@ -403,122 +411,11 @@ def response_spectrum_frequency_domain(
             else:
                 sv[di, ti] = np.max(np.abs(v))
                 sa[di, ti] = np.max(np.abs(ta))
-    return ResponseSpectrum(
-        periods=config.periods.copy(),
-        dampings=np.asarray(config.dampings, dtype=float),
-        sa=sa,
-        sv=sv,
-        sd=sd,
-    )
-
-
-def response_spectrum_nigam_jennings_vectorized(
-    acc: np.ndarray, dt: float, config: ResponseSpectrumConfig
-) -> ResponseSpectrum:
-    """Nigam–Jennings vectorized across the oscillator axis.
-
-    The per-oscillator solver runs ``lfilter`` over time, once per
-    (period, damping) pair — fast when records are long and the grid
-    small.  The legacy grid is the opposite shape (9,000 oscillators),
-    so this variant flips the vectorization: a single Python loop over
-    the D time steps advances *all* oscillators at once with 2x2
-    state-update arithmetic on length-K arrays (the guide's
-    "vectorize the wide axis" idiom).  Results are identical to the
-    per-oscillator path to round-off; :func:`response_spectrum` picks
-    whichever axis is wider.
-    """
-    acc = np.asarray(acc, dtype=float)
-    if acc.size == 0:
-        raise SignalError("cannot compute the response of an empty record")
-    periods = np.repeat(config.periods, 1)
-    grid_t = np.tile(config.periods, len(config.dampings))
-    grid_z = np.repeat(np.asarray(config.dampings, dtype=float), config.periods.size)
-    k = grid_t.size
-
-    # Closed-form per-oscillator coefficients, all vectorized.
-    w = 2.0 * np.pi / grid_t
-    wd = w * np.sqrt(1.0 - grid_z**2)
-    e = np.exp(-grid_z * w * dt)
-    s = np.sin(wd * dt)
-    c = np.cos(wd * dt)
-    a11 = e * (c + grid_z * w * s / wd)
-    a12 = e * s / wd
-    a21 = -e * w * w * s / wd
-    a22 = e * (c - grid_z * w * s / wd)
-    # B0/B1 via the exact integrals (same algebra as sdof_coefficients,
-    # expanded element-wise).  F = [[0,1],[-w^2,-2 z w]]:
-    #   Finv = [[-2 z / w, -1/w^2], [1, 0]]
-    f11, f12, f21, f22 = (
-        np.zeros(k),
-        np.ones(k),
-        -(w**2),
-        -2.0 * grid_z * w,
-    )
-    det_f = f11 * f22 - f12 * f21  # = w^2
-    i11, i12 = f22 / det_f, -f12 / det_f
-    i21, i22 = -f21 / det_f, f11 / det_f
-    # M0 = Finv (A - I)
-    m0_11 = i11 * (a11 - 1.0) + i12 * a21
-    m0_12 = i11 * a12 + i12 * (a22 - 1.0)
-    m0_21 = i21 * (a11 - 1.0) + i22 * a21
-    m0_22 = i21 * a12 + i22 * (a22 - 1.0)
-    # Finv A
-    fa_11 = i11 * a11 + i12 * a21
-    fa_12 = i11 * a12 + i12 * a22
-    fa_21 = i21 * a11 + i22 * a21
-    fa_22 = i21 * a12 + i22 * a22
-    # Finv^2 (A - I) = Finv M0
-    ff_11 = i11 * m0_11 + i12 * m0_21
-    ff_12 = i11 * m0_12 + i12 * m0_22
-    ff_21 = i21 * m0_11 + i22 * m0_21
-    ff_22 = i21 * m0_12 + i22 * m0_22
-    m1_11 = m0_11 - fa_11 + ff_11 / dt
-    m1_12 = m0_12 - fa_12 + ff_12 / dt
-    m1_21 = m0_21 - fa_21 + ff_21 / dt
-    m1_22 = m0_22 - fa_22 + ff_22 / dt
-    # G = (0, 1): B columns are the second columns of the M matrices.
-    b1x, b1v = m1_12, m1_22
-    b0x, b0v = m0_12 - m1_12, m0_22 - m1_22
-
-    p = -acc
-    x = np.zeros(k)
-    v = np.zeros(k)
-    max_x = np.zeros(k)
-    max_v = np.zeros(k)
-    max_ta = np.zeros(k)
-    two_zw = 2.0 * grid_z * w
-    w2 = w * w
-    for n in range(acc.size - 1):
-        x, v = (
-            a11 * x + a12 * v + b0x * p[n] + b1x * p[n + 1],
-            a21 * x + a22 * v + b0v * p[n] + b1v * p[n + 1],
-        )
-        np.maximum(max_x, np.abs(x), out=max_x)
-        np.maximum(max_v, np.abs(v), out=max_v)
-        np.maximum(max_ta, np.abs(two_zw * v + w2 * x), out=max_ta)
-
-    n_d = len(config.dampings)
-    n_t = config.periods.size
-    sd = max_x.reshape(n_d, n_t)
-    if config.pseudo:
-        w_row = (2.0 * np.pi / periods)[None, :]
-        sv = w_row * sd
-        sa = w_row**2 * sd
-    else:
-        sv = max_v.reshape(n_d, n_t)
-        sa = max_ta.reshape(n_d, n_t)
-    return ResponseSpectrum(
-        periods=config.periods.copy(),
-        dampings=np.asarray(config.dampings, dtype=float),
-        sa=sa,
-        sv=sv,
-        sd=sd,
-    )
+    return _spectrum(config, sd, sv, sa)
 
 
 _METHODS = {
     "nigam_jennings": response_spectrum_nigam_jennings,
-    "nigam_jennings_vectorized": response_spectrum_nigam_jennings_vectorized,
     "duhamel": response_spectrum_duhamel,
     "frequency_domain": response_spectrum_frequency_domain,
 }
@@ -527,24 +424,7 @@ _METHODS = {
 def response_spectrum(
     acc: np.ndarray, dt: float, config: ResponseSpectrumConfig | None = None
 ) -> ResponseSpectrum:
-    """Compute the response spectrum with the method the config selects.
-
-    ``method="auto"`` picks the Nigam–Jennings vectorization axis by
-    the problem's shape: per-oscillator ``lfilter`` when the record is
-    the wide dimension, combo-vectorized when the oscillator grid is
-    (e.g. the legacy 9,000-combo sweep).  The choice is a pure
-    function of (combos, samples), so identical inputs always take the
-    same path — a requirement of the pipeline's byte-equality
-    guarantees.
-    """
+    """Compute the response spectrum with the method the config selects."""
     if config is None:
         config = ResponseSpectrumConfig()
-    method = config.method
-    if method == "auto":
-        acc_len = np.asarray(acc).shape[0] if np.asarray(acc).ndim else 0
-        method = (
-            "nigam_jennings_vectorized"
-            if config.combos >= acc_len
-            else "nigam_jennings"
-        )
-    return _METHODS[method](acc, dt, config)
+    return _METHODS[config.method](acc, dt, config)

@@ -39,6 +39,11 @@ class TestToolConfig:
         with pytest.raises(PipelineError):
             read_tool_config(tmp_path)
 
+    def test_undecodable_config_is_a_pipeline_error(self, tmp_path):
+        (tmp_path / "tool.cfg").write_bytes(b"PARAMS filter.par\nTAPER 0.\xff5\n")
+        with pytest.raises(PipelineError, match="undecodable byte at offset 26"):
+            read_tool_config(tmp_path)
+
 
 class TestCorrectComponent:
     def test_output_structure(self, rng):

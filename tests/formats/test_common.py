@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DataBlockError, HeaderError, MissingArtifactError
+from repro.formats import common
 from repro.formats.common import (
     _VECTOR_MIN_VALUES,
     Header,
@@ -95,6 +96,49 @@ class TestAgainstReference:
         assert parse_outcome(parse_fixed_block, lines, count) == parse_outcome(
             reference_parse_fixed_block, lines, count
         )
+
+
+class TestDigitParser:
+    """Blocks of ``_DIGITS_MIN_VALUES`` fields and more are parsed from digits."""
+
+    #: Fields at both exponent guards (|e - 7| <= 22 holds for e in
+    #: -15..29), two- and three-digit exponent edges, and signed zeros.
+    FIELDS = [
+        "%15.7E" % float(f"{m}e{e}")
+        for e in (-17, -16, -15, -14, 0, 7, 28, 29, 30, 31, 99, -99, 100, -100, -200)
+        for m in ("1.2345678", "-9.9999999", "4.4501477")
+    ] + ["  0.0000000E+00", " -0.0000000E+00"]
+
+    def _lines(self, n):
+        fields = (self.FIELDS * (n // len(self.FIELDS) + 1))[:n]
+        return ["".join(fields[i : i + 5]) for i in range(0, n, 5)], fields
+
+    @pytest.mark.parametrize("n", [common._DIGITS_MIN_VALUES, common._PARSE_CHUNK + 7])
+    def test_matches_float_bit_for_bit(self, n):
+        lines, fields = self._lines(n)
+        got = parse_fixed_block(lines, n)
+        want = np.array([float(f) for f in fields])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_negative_zero(self):
+        lines, fields = self._lines(common._DIGITS_MIN_VALUES)
+        got = parse_fixed_block(lines, len(fields))
+        negative_zero = [i for i, f in enumerate(fields) if f == " -0.0000000E+00"]
+        assert negative_zero and np.all(np.signbit(got[negative_zero]))
+        assert np.all(got[negative_zero] == 0.0)
+
+    def test_fields_parsed_from_digits_and_by_the_cast(self):
+        # e = 29 is the last exact power up, 30 goes to the cast.
+        raw = np.frombuffer(
+            b"  1.2345678E+29  1.2345678E+30  1.2345678E-15  1.2345678E-16", dtype=np.uint8
+        ).reshape(4, 15)
+        assert common._parse_fields(raw).tolist() == [1.2345678e29, 1.2345678e30, 1.2345678e-15, 1.2345678e-16]
+
+    def test_bad_field_in_a_long_block_names_it(self):
+        lines, fields = self._lines(common._DIGITS_MIN_VALUES + 3)
+        lines[7] = lines[7][:15] + "  1.00000x0E+00" + lines[7][30:]
+        with pytest.raises(DataBlockError, match=r"bad numeric field '1.00000x0E\+00'"):
+            parse_fixed_block(lines, common._DIGITS_MIN_VALUES + 3, path="blk")
 
 
 class TestFixedBlocks:

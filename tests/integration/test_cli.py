@@ -152,6 +152,36 @@ class TestBenchCli:
         assert "incremental" in out
 
 
+class TestMalformedConfigIsAUsageError:
+    """A bad ``--config`` file exits 2 with one usage line, before any workspace."""
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ('{"parallel": {"loop_backend": "process"}}', "unknown keys ['loop_backend']"),
+            ('{"parallel": {"backend": "thread",', "invalid JSON"),
+            (None, "config file not found"),
+            ('{"parallel": {"num_workers": "two"}}', "parallel.num_workers must be a positive integer"),
+            ('{"filter": {"f_pass_low": "low"}}', "ill-typed config value"),
+            ('{"parallel": {"backend": "gpu"}}', "gpu"),
+        ],
+        ids=["unknown-key", "bad-json", "missing-file", "ill-typed-workers", "ill-typed-float", "unknown-backend"],
+    )
+    def test_exits_2_with_the_reason(self, tmp_path, capsys, content, message):
+        config = tmp_path / "run.json"
+        if content is not None:
+            config.write_text(content)
+        ws = tmp_path / "ws"
+        with pytest.raises(SystemExit) as exc:
+            main_process([str(ws), "--config", str(config)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        (error_line,) = [line for line in err.splitlines() if ": error: " in line]
+        assert "--config: " in error_line and message in error_line
+        assert not ws.exists()
+
+
 class TestPolicyTyposAreUsageErrors:
     """A misspelt policy exits 2 with argparse usage, not a traceback."""
 

@@ -222,3 +222,19 @@ class TestFixtureRoundTrip:
         path = tmp_path / "events.jsonl"
         write_events(path, events)
         assert read_events_file(path) == events
+
+    @pytest.mark.parametrize("tail", [b'{"type": "run_fin', b'{"type": "\xc3', b"\xff\xfe"])
+    def test_torn_last_line_is_skipped(self, tmp_path, tail):
+        events = [{"type": "run_started", "seq": 1}, {"type": "stage_started", "seq": 2}]
+        path = tmp_path / "events.jsonl"
+        write_events(path, events)
+        with open(path, "ab") as fh:
+            fh.write(tail)
+        assert read_events_file(path) == events
+
+    @pytest.mark.parametrize("bad", [b'{"type": "run_fin\n', b'{"type": "\xc3"}\n'])
+    def test_bad_middle_line_raises(self, tmp_path, bad):
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(b'{"seq": 1}\n' + bad + b'{"seq": 3}\n')
+        with pytest.raises(ValueError):
+            read_events_file(path)

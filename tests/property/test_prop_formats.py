@@ -220,6 +220,77 @@ class TestVectorFormatterMatchesReference:
         assert format_fixed_block(values) == reference_format_fixed_block(values)
 
 
+# Fields aimed at the digit parser: canonical ones at and past its
+# exponent guards (guard_values' exponent_edges hold -17..-14, 28..31,
+# +-99 and +-100), signed zeros, three-digit exponents, and fields the
+# cast reads but the digit path must hand to it.
+parser_fields = st.one_of(
+    guard_values.map(lambda v: "%15.7E" % v),
+    st.sampled_from([" -0.0000000E+00", "  0.0000000E+00", "-1.0000000E-200"]),
+    any_float64.map(lambda v: "%15.7e" % v),  # lowercase exponent
+    any_float64.map(lambda v: "%+15.7E" % v),  # explicit plus sign
+    any_float64.map(lambda v: "%-15.7E" % v),  # left-aligned
+    any_float64.map(lambda v: "%15.6E" % v),  # a digit short
+    padded_field,
+    st.just(" " * 15),
+    damaged_field,
+)
+
+PARSE_CUT = common._DIGITS_MIN_VALUES
+#: Both sides of the parser's cut, and blocks parsed in several chunks.
+PARSE_CUT_LENGTHS = [PARSE_CUT - 1, PARSE_CUT, PARSE_CUT + 1, PARSE_CUT + 4, 2 * PARSE_CUT + 2]
+PARSE_CHUNK_LENGTHS = [common._PARSE_CHUNK - 1, common._PARSE_CHUNK + 1, 2 * common._PARSE_CHUNK + 3]
+
+
+@st.composite
+def parser_blocks(draw, lengths):
+    """A seeded background block's lines with parser fields dropped in."""
+    n = draw(st.sampled_from(lengths))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    text = format_fixed_block(rng.normal(size=n) * 10.0 ** draw(st.integers(-20, 32))).replace("\n", "")
+    fields = [text[15 * i : 15 * (i + 1)] for i in range(n)]
+    aimed = draw(st.lists(parser_fields, min_size=1, max_size=40))
+    at = draw(st.lists(st.integers(0, n - 1), min_size=len(aimed), max_size=len(aimed)))
+    for i, field in zip(at, aimed):
+        fields[i] = field
+    return ["".join(fields[i : i + 5]) for i in range(0, n, 5)]
+
+
+def cast_outcome(fields, raw):
+    """``("ok", uint64 bit patterns)`` or ``("error", None)`` of one field parser."""
+    try:
+        return "ok", fields(raw).view(np.uint64).tolist()
+    except ValueError:
+        return "error", None
+
+
+class TestDigitParserMatchesCast:
+    @given(parser_blocks(PARSE_CUT_LENGTHS))
+    @settings(max_examples=150, deadline=None)
+    def test_fields_match_the_cast_bit_for_bit(self, lines):
+        text = "".join(lines)
+        if not text.isascii() or "\x00" in text:
+            return  # such blocks never reach numpy; the next test covers them
+        raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 15)
+        assert cast_outcome(common._parse_fields, raw) == cast_outcome(common._cast_fields, raw)
+
+    @given(parser_blocks(PARSE_CUT_LENGTHS))
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_around_the_cut_match_reference(self, lines):
+        count = len("".join(lines)) // 15
+        assert parse_outcome(parse_fixed_block, lines, count) == parse_outcome(
+            reference_parse_fixed_block, lines, count
+        )
+
+    @given(parser_blocks(PARSE_CHUNK_LENGTHS))
+    @settings(max_examples=10, deadline=None)
+    def test_blocks_across_chunks_match_reference(self, lines):
+        count = len("".join(lines)) // 15
+        assert parse_outcome(parse_fixed_block, lines, count) == parse_outcome(
+            reference_parse_fixed_block, lines, count
+        )
+
+
 class TestV1Properties:
     @given(station_names, value_arrays(min_size=1, max_size=40), st.floats(1e-3, 0.1))
     @settings(max_examples=25, deadline=None)

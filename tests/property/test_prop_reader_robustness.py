@@ -147,3 +147,37 @@ class TestReaderRobustness:
             pass  # typed rejection is the contract
         # Silent acceptance is fine too: some mutations are harmless
         # (swapping characters inside a station name, for example).
+
+    @given(
+        which=st.integers(0, 7),
+        mutations=st.lists(
+            st.tuples(
+                st.sampled_from(["high_byte", "nul", "repeat_chunk"]),
+                st.floats(0.0, 1.0),
+                st.integers(0x80, 0xFF),
+                st.integers(1, 40),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_corrupted_bytes_never_crash(self, tmp_path_factory, format_corpus, which, mutations):
+        # Bytes that are not UTF-8, NULs and duplicated chunks, written
+        # as bytes: undecodable input must surface as a typed error.
+        text, reader, suffix = format_corpus[which % len(format_corpus)]
+        raw = bytearray(text.encode())
+        for kind, position, byte, size in mutations:
+            at = min(int(position * len(raw)), len(raw) - 1)
+            if kind == "high_byte":
+                raw[at] = byte
+            elif kind == "nul":
+                raw[at : at + size] = b"\x00" * size
+            else:
+                raw[at:at] = raw[at : at + size] * (byte % 8 + 2)
+        path = tmp_path_factory.mktemp("fuzz-bytes") / f"mutant{suffix}"
+        path.write_bytes(bytes(raw))
+        try:
+            reader(path)
+        except ReproError:
+            pass
