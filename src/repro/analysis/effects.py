@@ -24,9 +24,9 @@ function it can get source for:
   never guessed — the verifier downgrades its proof accordingly.
 
 The inference is sound-by-refusal, not complete: a task that shells
-out, fans work to ranks, or computes file names dynamically should be
-declared ``opaque=True`` at the builder, which skips inference and
-takes the declared effects on trust (reported as such).
+out, fans work out to pool workers, or computes file names dynamically
+should be declared ``opaque=True`` at the builder, which skips
+inference and takes the declared effects on trust (reported as such).
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ def run(
 
     - a registered policy name (``repro.engine.policy_names()`` lists
       them: the paper's four schemes plus ``full-parallel-fused``,
-      ``dag-parallel``, ``cluster-parallel``, ...);
+      ``dag-parallel``, ``wavefront-parallel``, ...);
     - a :class:`~repro.engine.SchedulingPolicy` instance;
     - a user-built :class:`~repro.engine.PipelineBuilder` (or its
       :class:`~repro.engine.TaskGraph`), executed by its derived

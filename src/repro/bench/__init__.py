@@ -6,8 +6,7 @@ Two modes exist for every experiment:
   (:mod:`repro.bench.costmodel`, anchored only on the largest event's
   published per-stage data), replayed on the simulated i5-12450H
   (:mod:`repro.parallel.simulate`).  This reproduces the paper's
-  numbers on hardware with any core count — including this 1-core
-  container.
+  numbers on hardware with any core count, one core included.
 - **measured mode** — real wall-clock runs of the Python pipeline on
   scaled-down synthetic events (:mod:`repro.bench.harness`), which
   documents what the library itself does on the present machine.

@@ -1,10 +1,10 @@
 """Measured-mode harness: real wall-clock runs of the Python pipeline.
 
 Materializes scaled-down synthetic events and times the actual
-implementations on this machine.  On a single-core container the
-parallel implementations cannot beat the sequential ones — that is the
-point of keeping measured mode separate from model mode — but the
-structural claims (optimized < original, output equality) still hold
+implementations on the present machine.  With one core the parallel
+implementations cannot beat the sequential ones — that is the point of
+keeping measured mode separate from model mode — but the structural
+claims (optimized < original, output equality) hold on any core count
 and are reported.
 """
 
@@ -52,7 +52,6 @@ def measure_implementations(
     parallel: ParallelSettings | None = None,
     response_config: ResponseSpectrumConfig | None = None,
     keep_dir: Path | None = None,
-    include_extensions: bool = False,
     trace_dir: Path | None = None,
     profile_dir: Path | None = None,
 ) -> MeasuredRow:
@@ -61,8 +60,7 @@ def measure_implementations(
     Each implementation gets a fresh workspace with an identical
     dataset (same seed), so times are comparable and outputs can be
     diffed.  ``keep_dir`` preserves the workspaces for inspection;
-    ``include_extensions`` additionally times the wavefront and
-    cluster extensions; ``trace_dir`` records a span trace per
+    ``trace_dir`` records a span trace per
     implementation and writes ``<name>.trace.json`` Chrome traces
     there (the timings then come from the same spans the traces show);
     ``profile_dir`` samples each run and writes
@@ -73,11 +71,8 @@ def measure_implementations(
     times: dict[str, float] = {}
     results: dict[str, PipelineResult] = {}
     base = Path(keep_dir) if keep_dir else Path(tempfile.mkdtemp(prefix="repro-bench-"))
-    names = list(PAPER_POLICIES)
-    if include_extensions:
-        names += ["wavefront-parallel", "cluster-parallel"]
     try:
-        for name in names:
+        for name in PAPER_POLICIES:
             root = base / name
             ctx = RunContext.for_directory(
                 root,

@@ -3,8 +3,8 @@ implementations, at a configurable scale.
 
 The model-mode table (:mod:`repro.bench.table1`) reproduces the
 paper's numbers; this one documents what the Python pipeline actually
-does on the present machine — including the honest single-core story
-where the parallel implementations cannot win.
+does on the present machine, whatever its core count; on one core the
+parallel implementations cannot win.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ the legacy Fortran pipeline relied on:
 - :mod:`repro.dsp.detrend`  — mean/linear/polynomial baseline removal.
 - :mod:`repro.dsp.integrate`— acceleration → velocity → displacement.
 - :mod:`repro.dsp.peak`     — PGA/PGV/PGD extraction.
-- :mod:`repro.dsp.resample` — decimation and linear resampling.
 """
 
 from repro.dsp.window import (
@@ -59,15 +58,6 @@ from repro.dsp.peak import (
     peak_ground_motion,
     PeakValues,
 )
-from repro.dsp.resample import (
-    decimate,
-    resample_linear,
-)
-from repro.dsp.instrument import (
-    AccelerometerModel,
-    remove_instrument_response,
-    simulate_instrument,
-)
 from repro.dsp.intensity import (
     IntensityMeasures,
     arias_intensity,
@@ -113,11 +103,6 @@ __all__ = [
     "peak_index",
     "peak_ground_motion",
     "PeakValues",
-    "decimate",
-    "resample_linear",
-    "AccelerometerModel",
-    "remove_instrument_response",
-    "simulate_instrument",
     "IntensityMeasures",
     "arias_intensity",
     "bracketed_duration",

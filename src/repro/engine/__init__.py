@@ -20,8 +20,8 @@ The paper's four schemes are the built-in policies ``seq-original``,
 (:data:`PAPER_POLICIES`);
 ``full-parallel-fused`` additionally executes the ``repro-lint``
 fusion advisories, ``dag-parallel`` runs the layering derived
-straight from the declarations, ``wavefront-parallel`` and
-``cluster-parallel`` run prologue / station fan-out / epilogue, and
+straight from the declarations, ``wavefront-parallel`` runs
+prologue / station fan-out / epilogue, and
 ``incremental`` chains digest-checked steps.
 """
 
@@ -41,7 +41,6 @@ from repro.engine.executor import Engine, EnginePipeline, run_graph
 from repro.engine.policy import (
     PAPER_POLICIES,
     POLICIES,
-    ClusterPolicy,
     DerivedPolicy,
     GraphPolicy,
     IncrementalPolicy,
@@ -74,7 +73,6 @@ __all__ = [
     "SequentialPolicy",
     "StagedPolicy",
     "DerivedPolicy",
-    "ClusterPolicy",
     "GraphPolicy",
     "WavefrontPolicy",
     "IncrementalPolicy",

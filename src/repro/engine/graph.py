@@ -67,8 +67,8 @@ class Task:
     reads: tuple[str, ...] = ()
     writes: tuple[str, ...] = ()
     #: An opaque task's body is not statically analyzable (it shells
-    #: out, fans out to ranks, ...); the verifier trusts the declared
-    #: effects and says so instead of guessing.
+    #: out, fans out to pool workers, ...); the verifier trusts the
+    #: declared effects and says so instead of guessing.
     opaque: bool = False
 
     @property
@@ -402,7 +402,7 @@ class PipelineBuilder:
         verifier (:mod:`repro.analysis.graphlint`) can prove the plan
         race-free and diff the declarations against the effects it
         infers from the callable's source.  ``opaque=True`` marks a
-        body the verifier cannot analyze (rank fan-out, subprocesses);
+        body the verifier cannot analyze (worker fan-out, subprocesses);
         its declared effects are then taken on trust and reported as
         such rather than guessed at.
         """

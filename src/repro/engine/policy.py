@@ -19,9 +19,9 @@ fusion advisories (adjacent stages with no crossing dependency edge
 merge into one barrier group), and ``dag-parallel`` drops the Fig. 9
 layering entirely, running the layering derived from the registry
 declarations — as many barriers as the I/O requires, none extra.
-``wavefront-parallel`` (§VIII) and ``cluster-parallel`` share one
-prologue / station fan-out / epilogue plan, and ``incremental`` is the
-optimized order as a chain of digest-checked steps.
+``wavefront-parallel`` (§VIII) is a prologue / station fan-out /
+epilogue plan, and ``incremental`` is the optimized order as a chain
+of digest-checked steps.
 
 Every plan is validated against the derived dependency graph before
 execution: a policy cannot ship a schedule the declarations forbid.
@@ -201,26 +201,6 @@ class DerivedPolicy(SchedulingPolicy):
         return graph, graph.derive_regions()
 
 
-def _cluster_rank_body(comm, ctx) -> list:
-    """SPMD body: process this rank's round-robin share of stations.
-
-    Rank 0 broadcasts the station list, every rank runs its share
-    through the full per-station chain, and the corner specs are
-    gathered back to rank 0.  Module-level so it pickles into the rank
-    processes.
-    """
-    stations = stations_from_list(ctx.workspace) if comm.rank == 0 else None
-    stations = comm.bcast(stations, root=0)
-    specs = []
-    for index in range(comm.rank, len(stations), comm.size):
-        specs.extend(process_station_wavefront(ctx, (index, stations[index])))
-    gathered = comm.gather(specs, root=0)
-    comm.barrier()
-    if comm.rank == 0:
-        return [spec for rank_specs in gathered for spec in rank_specs]
-    return []
-
-
 class WavefrontPolicy(SchedulingPolicy):
     """Prologue / station fan-out / epilogue as three custom tasks.
 
@@ -230,14 +210,11 @@ class WavefrontPolicy(SchedulingPolicy):
     (:func:`~repro.engine.stations.process_station_wavefront`) with no
     stage barriers, and a deterministic epilogue merges the gathered
     corner specs and maxvals shards.  The fan-out is a parallel loop
-    over stations; subclasses override :meth:`_fanout` only.
+    over stations.
     """
 
     name = "wavefront-parallel"
     description = "Wavefront: per-station pipelines, no stage barriers (§VIII)"
-    #: Label of the fan-out region and the strategy its span shows.
-    fanout_label = "wavefront"
-    fanout_strategy = LOOP
 
     def plan(self, ctx) -> tuple[TaskGraph, list[Region]]:
         state: dict = {}
@@ -245,7 +222,7 @@ class WavefrontPolicy(SchedulingPolicy):
         # Effects are declared so the graph verifier can prove the
         # three-region plan: prologue and epilogue bodies are
         # cross-checked by inference, the station fan-out is opaque
-        # (its work happens in pool workers or forked rank processes).
+        # (its work happens in pool workers).
         builder.add_task(
             "prologue", self._prologue, span_strategy=SEQ,
             reads=("raw_v1", "v1_list"),
@@ -256,14 +233,14 @@ class WavefrontPolicy(SchedulingPolicy):
             ),
         )
         builder.add_task(
-            self.fanout_label, partial(self._fanout, state), after=["prologue"],
-            span_strategy=self.fanout_strategy,
+            "wavefront", partial(self._fanout, state), after=["prologue"],
+            span_strategy=LOOP,
             reads=("v1_list", "raw_v1", "filter_params", "comp_v1", "comp_v2", "comp_f"),
             writes=("comp_v1", "comp_v2", "comp_f"),
             opaque=True,
         )
         builder.add_task(
-            "epilogue", partial(self._epilogue, state), after=[self.fanout_label],
+            "epilogue", partial(self._epilogue, state), after=["wavefront"],
             span_strategy=SEQ,
             writes=("filter_corrected", "maxvals", "maxvals2"),
         )
@@ -308,7 +285,6 @@ class WavefrontPolicy(SchedulingPolicy):
             metrics=ctx.metrics,
         )
         state["specs"] = [spec for specs in per_station for spec in specs]
-        state["row"] = "wavefront station pipelines"
 
     def _epilogue(self, state: dict, ctx, result) -> None:
         from repro.core.artifacts import FILTER_CORRECTED, MAXVALS, MAXVALS2
@@ -329,38 +305,11 @@ class WavefrontPolicy(SchedulingPolicy):
         result.processes.append(
             ProcessTiming(
                 pid=-1,
-                name=state["row"],
-                stage=self.fanout_label,
-                duration_s=result.stage_durations[self.fanout_label],
+                name="wavefront station pipelines",
+                stage="wavefront",
+                duration_s=result.stage_durations["wavefront"],
             )
         )
-
-
-class ClusterPolicy(WavefrontPolicy):
-    """The station-chain plan with the fan-out over MPI-style ranks.
-
-    The fan-out wraps :func:`repro.parallel.cluster.run_cluster`.
-    ``n_ranks`` defaults to the context's worker count; one rank runs
-    the station chains inline, like a single-rank MPI job.
-    """
-
-    name = "cluster-parallel"
-    description = "Cluster: MPI-style ranks over a shared workspace"
-    fanout_label = "ranks"
-    fanout_strategy = "cluster"
-
-    def __init__(self, n_ranks: int | None = None) -> None:
-        self.n_ranks = n_ranks
-
-    def _fanout(self, state: dict, ctx, result) -> None:
-        from repro.parallel.cluster import run_cluster
-
-        stations = stations_from_list(ctx.workspace)
-        ranks = self.n_ranks if self.n_ranks is not None else ctx.parallel.workers
-        ranks = max(1, min(ranks, len(stations)))
-        per_rank = run_cluster(_cluster_rank_body, ranks, ctx, tracer=ctx.tracer)
-        state["specs"] = per_rank[0]
-        state["row"] = f"{ranks}-rank station pipelines"
 
 
 class IncrementalPolicy(SchedulingPolicy):
@@ -533,7 +482,6 @@ POLICIES: dict[str, Callable[[], SchedulingPolicy]] = {
         fuse=True,
     ),
     "dag-parallel": lambda: DerivedPolicy(),
-    "cluster-parallel": lambda: ClusterPolicy(),
     "wavefront-parallel": lambda: WavefrontPolicy(),
     "incremental": lambda: IncrementalPolicy(),
 }

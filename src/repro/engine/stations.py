@@ -1,4 +1,4 @@
-"""One station's whole chain: the unit of the station-chain policies.
+"""One station's whole chain: the unit of ``wavefront-parallel``.
 
 After stages I, II and VII build the global lists and metadata, each
 station's work is independent of every other station's: its response
@@ -11,11 +11,10 @@ flows through its whole chain
 
 as one unit, with stations running concurrently and no barriers
 between the former stages.  ``wavefront-parallel`` fans the units out
-over a parallel loop and ``cluster-parallel`` over MPI-style ranks
-(:mod:`repro.engine.policy`).
+over a parallel loop (:mod:`repro.engine.policy`).
 
 Output parity: the global artifacts (``filter_corrected.par`` and the
-maxvals files) are assembled by the policies' epilogue exactly as the
+maxvals files) are assembled by the policy's epilogue exactly as the
 staged plans write them. Corner specs are collected and written
 sorted, and per-trace maxima lines are merged in sorted name order, so
 a station-chain run stays byte-identical to every other policy.

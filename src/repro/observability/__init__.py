@@ -1,11 +1,11 @@
 """Structured run telemetry: span tracing across the pipeline.
 
-Every execution layer — the implementation drivers, the OpenMP-shaped
-runtime, the MPI-style cluster layer — can open :class:`Span`\\ s on a
+Every execution layer — the implementation drivers and the
+OpenMP-shaped runtime — can open :class:`Span`\\ s on a
 :class:`Tracer` attached to the :class:`~repro.core.context.RunContext`.
 A finished run yields a :class:`Trace`: a tree
 
-    run -> implementation -> stage -> process -> chunk/task/rank
+    run -> implementation -> stage -> process -> chunk/task
 
 whose per-stage durations *are* the numbers the paper's Table I and
 Figures 11-13 aggregate.  :mod:`repro.observability.export` renders a

@@ -12,7 +12,7 @@ for speedup.  Three analyses over one finished :class:`Trace`:
   wall-clock, so per-stage critical-path shares are honest percentages.
 
 - :func:`stage_stats` — per-stage parallel structure: total measured
-  unit work (chunk/task/rank spans), the longest single unit, the
+  unit work (chunk/task spans), the longest single unit, the
   number of distinct worker lanes that executed units, and the
   resulting parallel efficiency ``work / (lanes x duration)``.
 
@@ -33,7 +33,7 @@ from typing import Any
 from repro.observability.tracer import Span, Trace
 
 #: Span kinds counted as parallel work units.
-UNIT_KINDS = ("chunk", "task", "rank")
+UNIT_KINDS = ("chunk", "task")
 
 #: Share label for critical-path time outside any stage span
 #: (implementation setup, batch orchestration).
@@ -171,7 +171,7 @@ class StageStats:
 
     name: str
     duration_s: float
-    #: Summed duration of unit spans (chunks/tasks/ranks) under the
+    #: Summed duration of unit spans (chunks/tasks) under the
     #: stage; equals ``duration_s`` for a stage that scheduled none.
     work_s: float
     #: Longest single unit — the stage's span in the work-span sense.

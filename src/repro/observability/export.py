@@ -27,7 +27,7 @@ from repro.parallel.simulate import SimulationResult, TaskPlacement
 
 #: Kinds that represent actual work placed on a worker, most granular
 #: first; the Gantt/placement view picks the first non-empty level.
-WORK_KINDS = (("chunk", "task", "rank"), ("process",), ("stage",))
+WORK_KINDS = (("chunk", "task"), ("process",), ("stage",))
 
 
 def _worker_ids(spans: list[Span]) -> dict[str, int]:
@@ -223,7 +223,7 @@ def to_prometheus_text(trace: Trace, metrics: Any = None) -> str:
     work: dict[str, tuple[int, float]] = {}
     for span in trace.spans:
         counts[span.kind] = counts.get(span.kind, 0) + 1
-        if span.kind in ("chunk", "task", "rank"):
+        if span.kind in ("chunk", "task"):
             stage = _stage_of(by_id, span)
             n, total = work.get(stage, (0, 0.0))
             work[stage] = (n + 1, total + span.duration_s)
@@ -234,12 +234,12 @@ def to_prometheus_text(trace: Trace, metrics: Any = None) -> str:
     )
     gauge(
         "repro_stage_work_seconds_total",
-        "Summed worker-occupancy of a stage's chunk/task/rank spans.",
+        "Summed worker-occupancy of a stage's chunk/task spans.",
         [({"stage": stage}, total) for stage, (_, total) in sorted(work.items())],
     )
     gauge(
         "repro_stage_work_spans",
-        "Number of chunk/task/rank spans attributed to a stage.",
+        "Number of chunk/task spans attributed to a stage.",
         [({"stage": stage}, float(n)) for stage, (n, _) in sorted(work.items())],
     )
     text = "\n".join(lines) + "\n"

@@ -384,8 +384,8 @@ def span_stack_labels(spans: list[Any]) -> dict[str, str]:
 
     Walks outermost to innermost, so inner spans refine outer ones:
     the run span contributes the implementation, the stage span the
-    stage, the process span ``PXX``, cluster rank spans the rank, and
-    the innermost span names the ``span`` label.
+    stage, the process span ``PXX``, and the innermost span names the
+    ``span`` label.
     """
     labels: dict[str, str] = {}
     for span in spans:
@@ -399,8 +399,6 @@ def span_stack_labels(spans: list[Any]) -> dict[str, str]:
             labels["stage"] = str(span.attributes.get("stage", labels.get("stage", "")))
             pid = span.attributes.get("pid")
             labels["process"] = f"P{pid}" if pid is not None else span.name
-        elif span.kind == "rank":
-            labels["rank"] = str(span.attributes.get("rank", span.name))
         elif span.kind == "batch":
             labels["batch"] = span.name
     if spans:

@@ -44,7 +44,7 @@ class Span:
     ``start_s`` is an offset from the owning trace's epoch;
     ``duration_s`` is wall-clock elapsed.  ``kind`` encodes the level:
     ``run``, ``implementation``, ``stage``, ``process``, ``chunk``,
-    ``task``, ``rank`` or ``batch``.
+    ``task`` or ``batch``.
     """
 
     span_id: int

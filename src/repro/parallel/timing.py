@@ -64,7 +64,7 @@ def stage_timings_from_trace(trace: "Trace") -> list[StageTiming]:
 
     Every ``stage`` span becomes one :class:`StageTiming` (duplicates,
     e.g. from a batch trace, accumulate); the work spans below it —
-    ``process``, ``chunk``, ``task`` and ``rank`` — become its member
+    ``process``, ``chunk`` and ``task`` — become its member
     :class:`TaskRecord` entries, attributed via their nearest enclosing
     stage span.
     """
@@ -85,7 +85,7 @@ def stage_timings_from_trace(trace: "Trace") -> list[StageTiming]:
         timing = timings.setdefault(span.name, StageTiming(stage=span.name))
         timing.duration_s += span.duration_s
     for span in sorted(trace.spans, key=lambda s: s.start_s):
-        if span.kind not in ("process", "chunk", "task", "rank"):
+        if span.kind not in ("process", "chunk", "task"):
             continue
         stage = enclosing_stage(span)
         if stage is None:

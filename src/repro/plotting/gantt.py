@@ -100,9 +100,9 @@ def plot_trace_gantt(
     """Render a measured span trace as a Gantt chart.
 
     Rows are the workers that actually executed spans (threads, pool
-    processes, cluster ranks); bars are the trace's work spans, picked
-    by ``kinds`` or auto-selected at the most granular level present
-    (chunk/task/rank, then process, then stage).
+    processes); bars are the trace's work spans, picked by ``kinds`` or
+    auto-selected at the most granular level present (chunk/task, then
+    process, then stage).
     """
     from repro.observability.export import to_simulation_result
 

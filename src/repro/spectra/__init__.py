@@ -21,12 +21,6 @@ from repro.spectra.inflection import (
     find_inflection_point,
     corners_from_inflection,
 )
-from repro.spectra.site import (
-    HvResult,
-    hv_spectral_ratio,
-    konno_ohmachi_smooth,
-    konno_ohmachi_window,
-)
 from repro.spectra.response import (
     ResponseSpectrumConfig,
     ResponseSpectrum,
@@ -46,10 +40,6 @@ __all__ = [
     "InflectionResult",
     "find_inflection_point",
     "corners_from_inflection",
-    "HvResult",
-    "hv_spectral_ratio",
-    "konno_ohmachi_smooth",
-    "konno_ohmachi_window",
     "ResponseSpectrumConfig",
     "ResponseSpectrum",
     "sdof_coefficients",

@@ -66,9 +66,9 @@ class TestInferEffects:
         assert effects.complete
 
     def test_run_process_calls_charge_registry_effects(self):
-        from repro.engine.policy import ClusterPolicy
+        from repro.engine.policy import WavefrontPolicy
 
-        effects = infer_effects(ClusterPolicy._prologue)
+        effects = infer_effects(WavefrontPolicy._prologue)
         # The prologue runs P0,P1,P2,P5,P8,P17,P11; the union of their
         # registry declarations is what the walk must recover.
         assert effects.reads == {"raw_v1", "v1_list"}
@@ -79,9 +79,9 @@ class TestInferEffects:
     def test_partial_and_bound_methods_unwrap(self):
         from functools import partial
 
-        from repro.engine.policy import ClusterPolicy
+        from repro.engine.policy import WavefrontPolicy
 
-        effects = infer_effects(partial(ClusterPolicy._epilogue, {}))
+        effects = infer_effects(partial(WavefrontPolicy._epilogue, {}))
         assert effects.writes == {"filter_corrected", "maxvals", "maxvals2"}
         assert effects.complete
 

@@ -88,11 +88,10 @@ def test_clean_matrix_reports_no_faults(clean_matrix) -> None:
 def test_clean_matrix_times_every_scheduled_process(clean_matrix) -> None:
     from repro.core.registry import OPTIMIZED_ORDER, ORIGINAL_ORDER
 
-    # The station-chain policies time their fan-out as one pid -1 row.
+    # The station-chain policy times its fan-out as one pid -1 row.
     expected = {
         "seq-original": ORIGINAL_ORDER,
         "wavefront-parallel": (-1,),
-        "cluster-parallel": (-1,),
     }
     for leg, (_, result, _) in clean_matrix.items():
         pids = expected.get(leg[0], OPTIMIZED_ORDER)

@@ -36,7 +36,6 @@ class TestRegistry:
             "full-parallel",
             "full-parallel-fused",
             "dag-parallel",
-            "cluster-parallel",
             "wavefront-parallel",
             "incremental",
         ):
@@ -53,6 +52,11 @@ class TestRegistry:
     def test_pipeline_factory_validates_eagerly(self):
         with pytest.raises(ValueError, match="unknown policy"):
             pipeline_factory("bogus")
+        # The MPI-style cluster policy is retired, not aliased.
+        with pytest.raises(ValueError, match="unknown policy"):
+            policy_by_name("cluster-parallel")
+        with pytest.raises(ValueError, match="unknown policy"):
+            pipeline_factory("cluster-parallel")
         factory = pipeline_factory("seq-optimized")
         impl = factory()
         assert impl.name == "seq-optimized"
@@ -97,7 +101,6 @@ class TestPlans:
             "full-parallel",
             "full-parallel-fused",
             "dag-parallel",
-            "cluster-parallel",
         ],
     )
     def test_every_static_plan_validates(self, name: str):
@@ -157,11 +160,12 @@ class TestPlans:
         # the same observation the lint advisory reports.
         assert len(regions) < len(STAGES)
 
-    def test_cluster_plan_is_a_three_task_chain(self):
-        graph, regions = _plan("cluster-parallel")
-        assert [r.label for r in regions] == ["prologue", "ranks", "epilogue"]
-        assert graph.has_edge("prologue", "ranks")
-        assert graph.has_edge("ranks", "epilogue")
+    def test_wavefront_plan_is_a_three_task_chain(self):
+        graph, regions = _plan("wavefront-parallel")
+        assert [r.label for r in regions] == ["prologue", "wavefront", "epilogue"]
+        assert graph.has_edge("prologue", "wavefront")
+        assert graph.has_edge("wavefront", "epilogue")
+        assert graph.task("wavefront").span_strategy == "loop"
 
     @pytest.mark.parametrize("name", policy_names())
     def test_every_policy_plan_validates(self, name: str):

@@ -17,7 +17,7 @@ EXAMPLES = sorted((Path(__file__).parents[2] / "examples").glob("*.py"))
 
 
 def test_examples_found() -> None:
-    assert len(EXAMPLES) >= 8
+    assert len(EXAMPLES) >= 7
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)

@@ -156,6 +156,38 @@ class TestResponseHistory:
         with pytest.raises(SignalError):
             sdof_response_history(np.array([]), 0.01, 1.0, 0.05)
 
+    @pytest.mark.parametrize("kind", ["step", "ramp"])
+    @pytest.mark.parametrize(
+        "period, damping", [(0.7, 0.05), (0.2, 0.0), (1.5, 0.2), (3.0, 0.7)]
+    )
+    def test_exact_for_piecewise_linear_input(self, kind, period, damping):
+        # Nigam-Jennings integrates piecewise-linear excitation exactly,
+        # so a step a(t) = a0 and a ramp a(t) = r*t must match the
+        # closed-form response from rest of x'' + 2zwx' + w^2 x = -a(t)
+        # to rounding.
+        dt, n, amp = 0.01, 4000, 1.7
+        t = np.arange(n) * dt
+        w = 2 * np.pi / period
+        wd = w * np.sqrt(1 - damping**2)
+        decay = np.exp(-damping * w * t)
+        cos, sin = np.cos(wd * t), np.sin(wd * t)
+        if kind == "step":
+            acc = np.full(n, amp)
+            exact = -(amp / w**2) * (1 - decay * (cos + damping * w / wd * sin))
+        else:
+            acc = amp * t
+            # Particular solution A*t + B plus the homogeneous part that
+            # brings x(0) = x'(0) = 0.
+            a_, b_ = -amp / w**2, 2 * damping * amp / w**3
+            c2 = (-damping * w * b_ - a_) / wd
+            exact = a_ * t + b_ + decay * (-b_ * cos + c2 * sin)
+        peak = np.abs(exact).max()
+        x, _, _ = sdof_response_history(acc, dt, period, damping)
+        assert np.abs(x - exact).max() <= 1e-10 * peak
+        config = ResponseSpectrumConfig(periods=[period], dampings=(damping,))
+        spectrum = response_spectrum_nigam_jennings(acc, dt, config)
+        assert abs(spectrum.sd[0, 0] - peak) <= 1e-10 * peak
+
 
 class TestMethodAgreement:
     def test_nj_vs_frequency_domain(self, record):
