@@ -412,16 +412,16 @@ def verify_builder(builder, regions: list[Region] | None = None) -> list[Finding
 def verify_policy(policy) -> list[Finding]:
     """Verify a policy's plan (name, instance, builder or graph).
 
-    Every registered policy exposes its plan without a run context.  A
-    plan that cannot even be built (an unknown stage strategy, a
-    cyclic wiring) is reported as an error finding, so ``--strict``
-    never passes a policy that cannot run.
+    A policy's plan depends on the policy alone, so no run context is
+    needed.  A plan that cannot even be built (an unknown stage
+    strategy, a cyclic wiring) is reported as an error finding, so
+    ``--strict`` never passes a policy that cannot run.
     """
     from repro.engine.policy import resolve_policy
 
     resolved = resolve_policy(policy)
     try:
-        graph, regions = resolved.plan(None)
+        graph, regions = resolved.plan()
     except PipelineError as exc:
         return [Finding(
             CHECK, ERROR, f"policy {resolved.name!r} has no valid plan: {exc}"

@@ -24,12 +24,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.analysis.model import ERROR, INFO, Finding
-from repro.core.dependencies import (
-    build_process_graph,
-    parallelizable_sets,
-    validate_sequential_order,
-    validate_stage_plan,
-)
+from repro.core.dependencies import validate_sequential_order
 from repro.core.registry import (
     LATEST,
     OPTIMIZED_ORDER,
@@ -37,7 +32,9 @@ from repro.core.registry import (
     PROCESSES,
     REDUNDANT_PROCESSES,
 )
-from repro.core.stages import STAGES, stage_plan
+from repro.core.stages import STAGES
+from repro.engine.policy import StagedPolicy, policy_by_name, policy_names
+from repro.errors import PipelineError
 
 
 def _resolved_reads(pid: int, versions: dict[str, list[int]]) -> set[tuple[str, int]]:
@@ -162,10 +159,17 @@ def schedule_findings() -> list[Finding]:
                 f"order is {sorted(OPTIMIZED_ORDER)}",
             )
         )
-    try:
-        validate_stage_plan(stage_plan())
-    except Exception as exc:
-        findings.append(Finding("schedule", ERROR, f"stage plan is invalid: {exc}"))
+    for name in policy_names():
+        policy = policy_by_name(name)
+        if not isinstance(policy, StagedPolicy):
+            continue
+        try:
+            graph, regions = policy.plan()
+            graph.validate_regions(regions)
+        except PipelineError as exc:  # StageOrderError / DependencyError
+            findings.append(
+                Finding("schedule", ERROR, f"{name} stage plan is invalid: {exc}")
+            )
 
     findings.extend(_merge_opportunities())
     return findings
@@ -176,30 +180,24 @@ def _merge_opportunities() -> list[Finding]:
     fused into one barrier region (latency, not correctness)."""
     findings: list[Finding] = []
     try:
-        graph = build_process_graph(list(OPTIMIZED_ORDER))
-    except Exception:
-        return findings  # already reported as an order error
-    layers = parallelizable_sets(OPTIMIZED_ORDER)
-    if len(layers) < len(STAGES):
+        graph, stages = StagedPolicy(name="fig9").plan()
+    except PipelineError:
+        return findings  # already reported as an invalid stage plan
+    layers = graph.layers()
+    if len(layers) < len(stages):
         findings.append(
             Finding(
                 "schedule", INFO,
                 f"dependency layering needs only {len(layers)} barrier layers; "
-                f"the plan uses {len(STAGES)} stages (faithful to Fig. 9)",
+                f"the plan uses {len(stages)} stages (faithful to Fig. 9)",
             )
         )
-    for earlier, later in zip(STAGES, STAGES[1:]):
-        crossing = [
-            (a, b)
-            for a in earlier.processes
-            for b in later.processes
-            if graph.has_edge(a, b)
-        ]
-        if not crossing:
+    for earlier, later in zip(stages, stages[1:]):
+        if graph.fusible(earlier, later):
             findings.append(
                 Finding(
                     "schedule", INFO,
-                    f"stages {earlier.name} and {later.name} share no direct "
+                    f"stages {earlier.label} and {later.label} share no direct "
                     "dependency edge and could start concurrently",
                 )
             )

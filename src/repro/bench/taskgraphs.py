@@ -1,19 +1,27 @@
-"""Build simulated task graphs for each pipeline implementation.
+"""Simulated task graphs, read from the engine's own plans.
 
-The builder translates an implementation's structure — the same stage
-plan and strategies executed by :mod:`repro.core` — into
-:class:`~repro.parallel.simulate.SimTask` graphs, charging the cost
-model's per-process costs plus the parallel-runtime overheads:
+:func:`build_sim_tasks` walks a policy's :meth:`plan` region by region
+— the same :class:`~repro.engine.graph.Region` list the engine
+executes — and expands each member task into
+:class:`~repro.parallel.simulate.SimTask` work by its strategy,
+charging the cost model's per-process costs plus the parallel-runtime
+overheads:
 
-- sequential implementations: one task per process, chained;
-- task stages (I, II, XI): one task per process, barriers between
-  stages, plus task-spawn overhead (P1's directory scan contributes
-  per-file subtasks — its parallelization is the paper's §V.1);
-- loop stages (III, IX, X, VI): one task per loop item, with per-item
-  dispatch overhead and the natural per-file load imbalance;
-- temp-folder stages (IV, V, VIII): per instance, a stage-in task, a
-  tool task and a stage-out task, plus the sequential EXE-copy chain
-  the paper performs "to avoid races".
+- a ``seq`` region chains its members, one task per process;
+- in any other region every member starts at the region's barrier:
+  ``seq`` and ``task`` members are one task each plus task-spawn
+  overhead (P1's directory scan splits into per-file subtasks — its
+  parallelization is the paper's §V.1); ``loop`` members are one task
+  per loop item with per-item dispatch overhead and the natural
+  per-file load imbalance; ``temp_folders`` members are, per instance,
+  a stage-in, a tool and a stage-out task, plus the sequential
+  EXE-copy chain the paper performs "to avoid races";
+- serial driver work trails every region that is not ``seq``.
+
+Each task's ``stage`` is its region's label, the key
+:attr:`~repro.core.runner.PipelineResult.stage_durations` uses.  Custom
+tasks are opaque to the cost model: only the wavefront plan's three
+are expanded by hand, and any other raises :class:`CalibrationError`.
 
 The per-stage and end-to-end speedups then *emerge* from the machine
 model; they are not fitted.
@@ -21,18 +29,12 @@ model; they are not fitted.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.bench.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.bench.workloads import EventWorkload
-from repro.core.registry import OPTIMIZED_ORDER, ORIGINAL_ORDER, PROCESSES
-from repro.core.stages import (
-    LOOP,
-    SEQ,
-    STAGES,
-    TASKS,
-    TEMP_FOLDERS,
-    FULL_PARALLEL_STAGES,
-    PARTIAL_PARALLEL_STAGES,
-)
+from repro.engine.graph import CUSTOM, LOOP, SEQ, TASK, TEMP_FOLDERS, Region, Task
+from repro.engine.policy import policy_by_name
 from repro.errors import CalibrationError
 from repro.parallel.simulate import (
     PAPER_MACHINE,
@@ -42,35 +44,60 @@ from repro.parallel.simulate import (
     simulate_task_graph,
 )
 
-#: Maps implementation name -> which stages run parallel (None = all seq).
-_PARALLEL_STAGES: dict[str, tuple[str, ...]] = {
-    "partial-parallel": PARTIAL_PARALLEL_STAGES,
-    "full-parallel": FULL_PARALLEL_STAGES,
-}
+#: Tasks a member expansion adds, and the names the next barrier waits on.
+Expansion = tuple[list[SimTask], tuple[str, ...]]
 
 
-def _sequential_tasks(order: tuple[int, ...], workload: EventWorkload, model: CostModel) -> list[SimTask]:
+def _process_task(
+    name: str, pid: int, work: float, stage: str, deps: tuple[str, ...], model: CostModel
+) -> SimTask:
+    pc = model.process(pid)
+    return SimTask(
+        name=name, work_s=work, io_fraction=pc.io, mem_fraction=pc.mem,
+        deps=deps, stage=stage,
+    )
+
+
+def _names(tasks: list[SimTask]) -> tuple[str, ...]:
+    return tuple(t.name for t in tasks)
+
+
+def _seq_chain(
+    label: str, names: list[tuple[str, int]], barrier: tuple[str, ...],
+    workload: EventWorkload, model: CostModel,
+) -> Expansion:
+    """Processes run inline one after another behind the barrier."""
     tasks: list[SimTask] = []
-    prev: str | None = None
-    for pid in order:
-        pc = model.process(pid)
-        name = f"P{pid}"
-        tasks.append(
-            SimTask(
-                name=name,
-                work_s=model.cost(pid, workload),
-                io_fraction=pc.io,
-                mem_fraction=pc.mem,
-                deps=(prev,) if prev else (),
-                stage=PROCESSES[pid].label,
-            )
-        )
-        prev = name
-    return tasks
+    prev = barrier
+    for name, pid in names:
+        tasks.append(_process_task(name, pid, model.cost(pid, workload), label, prev, model))
+        prev = (name,)
+    return tasks, prev
+
+
+def _task_member(
+    label: str, pid: int, barrier: tuple[str, ...], workload: EventWorkload, model: CostModel
+) -> Expansion:
+    """One concurrent task plus spawn overhead.
+
+    P1 (gather input files) decomposes into per-file subtasks — the
+    paper parallelized the C++ processes #0/#1 internally (§V.1).
+    """
+    ovh = model.overheads.task_spawn_s
+    cost = model.cost(pid, workload)
+    if pid == 1 and workload.n_files > 1:
+        share = cost / workload.n_files
+        tasks = [
+            _process_task(f"{label}.P1.{i}", 1, share + ovh, label, barrier, model)
+            for i in range(workload.n_files)
+        ]
+    else:
+        tasks = [_process_task(f"{label}.P{pid}", pid, cost + ovh, label, barrier, model)]
+    return tasks, _names(tasks)
 
 
 def _loop_items(pid: int, workload: EventWorkload, model: CostModel) -> list[float]:
-    """Per-item costs of a loop stage's work decomposition."""
+    """Per-item costs of a loop member's work decomposition."""
     shares = model.file_cost_shares(pid, workload)
     if pid == 3:
         return shares  # one item per station
@@ -84,268 +111,218 @@ def _loop_items(pid: int, workload: EventWorkload, model: CostModel) -> list[flo
     raise CalibrationError(f"no loop decomposition for P{pid}")
 
 
-class _GraphBuilder:
-    """Accumulates tasks with stage barriers."""
-
-    def __init__(self) -> None:
-        self.tasks: list[SimTask] = []
-        self._frontier: tuple[str, ...] = ()
-
-    def add_layer(self, layer: list[SimTask]) -> None:
-        """Add tasks that all depend on the previous barrier."""
-        self.tasks.extend(
-            SimTask(
-                name=t.name,
-                work_s=t.work_s,
-                io_fraction=t.io_fraction,
-                mem_fraction=t.mem_fraction,
-                deps=tuple(set(t.deps) | set(self._frontier)),
-                stage=t.stage,
-            )
-            for t in layer
-        )
-        self._frontier = tuple(t.name for t in layer)
-
-    def add_chained(self, layer: list[SimTask]) -> None:
-        """Add tasks chained one after another behind the barrier."""
-        prev = self._frontier
-        out = []
-        for t in layer:
-            out.append(
-                SimTask(
-                    name=t.name,
-                    work_s=t.work_s,
-                    io_fraction=t.io_fraction,
-                    mem_fraction=t.mem_fraction,
-                    deps=prev,
-                    stage=t.stage,
-                )
-            )
-            prev = (t.name,)
-        self.tasks.extend(out)
-        self._frontier = prev
-
-
-def _stage_tasks_parallel(
-    stage_name: str,
-    pids: tuple[int, ...],
-    workload: EventWorkload,
-    model: CostModel,
-) -> list[SimTask]:
-    """Task-parallel stage: one task per process (+ spawn overhead).
-
-    P1 (gather input files) decomposes into per-file subtasks — the
-    paper parallelized the C++ processes #0/#1 internally (§V.1).
-    """
-    ovh = model.overheads.task_spawn_s
-    out: list[SimTask] = []
-    for pid in pids:
-        pc = model.process(pid)
-        cost = model.cost(pid, workload)
-        if pid == 1 and workload.n_files > 1:
-            share = cost / workload.n_files
-            for i in range(workload.n_files):
-                out.append(
-                    SimTask(
-                        name=f"{stage_name}.P1.{i}",
-                        work_s=share + ovh,
-                        io_fraction=pc.io,
-                        mem_fraction=pc.mem,
-                        stage=stage_name,
-                    )
-                )
-        else:
-            out.append(
-                SimTask(
-                    name=f"{stage_name}.P{pid}",
-                    work_s=cost + ovh,
-                    io_fraction=pc.io,
-                    mem_fraction=pc.mem,
-                    stage=stage_name,
-                )
-            )
-    return out
-
-
-def _stage_loop_parallel(
-    stage_name: str,
-    pid: int,
-    workload: EventWorkload,
-    model: CostModel,
-    builder: _GraphBuilder,
-) -> None:
-    """Parallel-loop stage: one task per item behind the barrier."""
-    ovh = model.overheads.loop_item_s
-    pc = model.process(pid)
+def _loop_member(
+    label: str, pid: int, barrier: tuple[str, ...], workload: EventWorkload, model: CostModel
+) -> Expansion:
+    """One task per loop item behind the barrier."""
     if pid == 10:
-        # Stage VI: outer station loop sequential, inner 3-component
-        # loop parallel — N chained groups of 3 concurrent tasks.
-        shares = model.file_cost_shares(pid, workload)
-        for i, share in enumerate(shares):
-            layer = [
-                SimTask(
-                    name=f"{stage_name}.P10.{i}.{c}",
-                    work_s=share / 3.0 + model.overheads.task_spawn_s,
-                    io_fraction=pc.io,
-                    mem_fraction=pc.mem,
-                    stage=stage_name,
+        # Outer station loop sequential, inner 3-component loop
+        # parallel: N chained groups of 3 concurrent tasks.
+        tasks: list[SimTask] = []
+        prev = barrier
+        for i, share in enumerate(model.file_cost_shares(10, workload)):
+            group = [
+                _process_task(
+                    f"{label}.P10.{i}.{c}", 10,
+                    share / 3.0 + model.overheads.task_spawn_s, label, prev, model,
                 )
                 for c in range(3)
             ]
-            builder.add_layer(layer)
-        return
-    items = _loop_items(pid, workload, model)
-    layer = [
-        SimTask(
-            name=f"{stage_name}.P{pid}.{i}",
-            work_s=cost + ovh,
-            io_fraction=pc.io,
-            mem_fraction=pc.mem,
-            stage=stage_name,
-        )
-        for i, cost in enumerate(items)
+            tasks.extend(group)
+            prev = _names(group)
+        return tasks, prev
+    ovh = model.overheads.loop_item_s
+    tasks = [
+        _process_task(f"{label}.P{pid}.{i}", pid, cost + ovh, label, barrier, model)
+        for i, cost in enumerate(_loop_items(pid, workload, model))
     ]
-    builder.add_layer(layer)
+    return tasks, _names(tasks)
 
 
-def _stage_temp_folders(
-    stage_name: str,
-    pid: int,
-    workload: EventWorkload,
-    model: CostModel,
-    builder: _GraphBuilder,
-) -> None:
-    """Temp-folder stage: stage-in -> tool -> stage-out per instance,
-    plus the sequential EXE-copy chain."""
+def _temp_folder_member(
+    label: str, pid: int, barrier: tuple[str, ...], workload: EventWorkload, model: CostModel
+) -> Expansion:
+    """Stage-in -> tool -> stage-out per instance, plus the sequential
+    EXE-copy chain: instance i's tool run also waits for EXE move i."""
     ovh = model.overheads
     pc = model.process(pid)
-    shares = model.file_cost_shares(pid, workload)
-    barrier = builder._frontier
-    # Sequential EXE moves: a chain of small tasks; instance i's tool
-    # run additionally depends on exe-move i.
-    exe_names: list[str] = []
+    tasks: list[SimTask] = []
     prev = barrier
-    exe_tasks: list[SimTask] = []
     for i in range(workload.n_files):
-        name = f"{stage_name}.exe.{i}"
-        exe_tasks.append(
+        tasks.append(
             SimTask(
-                name=name,
-                work_s=ovh.exe_move_s,
-                io_fraction=0.9,
-                deps=prev,
-                stage=stage_name,
+                name=f"{label}.exe.{i}", work_s=ovh.exe_move_s, io_fraction=0.9,
+                deps=prev, stage=label,
             )
         )
-        prev = (name,)
-        exe_names.append(name)
-    builder.tasks.extend(exe_tasks)
+        prev = (tasks[-1].name,)
 
     finals: list[str] = []
+    shares = model.file_cost_shares(pid, workload)
     for i, (share, points) in enumerate(zip(shares, workload.file_points)):
         staging = 0.5 * (ovh.tool_instance_fixed_s + ovh.tool_staging_per_point_s * points)
         t_in = SimTask(
-            name=f"{stage_name}.in.{i}",
-            work_s=staging,
-            io_fraction=0.95,
-            deps=barrier,
-            stage=stage_name,
+            name=f"{label}.in.{i}", work_s=staging, io_fraction=0.95,
+            deps=barrier, stage=label,
         )
         t_tool = SimTask(
-            name=f"{stage_name}.tool.{i}",
-            work_s=share,
-            io_fraction=pc.io,
-            mem_fraction=pc.mem,
-            deps=(t_in.name, exe_names[i]),
-            stage=stage_name,
+            name=f"{label}.tool.{i}", work_s=share, io_fraction=pc.io,
+            mem_fraction=pc.mem, deps=(t_in.name, f"{label}.exe.{i}"), stage=label,
         )
         t_out = SimTask(
-            name=f"{stage_name}.out.{i}",
-            work_s=staging,
-            io_fraction=0.95,
-            deps=(t_tool.name,),
-            stage=stage_name,
+            name=f"{label}.out.{i}", work_s=staging, io_fraction=0.95,
+            deps=(t_tool.name,), stage=label,
         )
-        builder.tasks.extend((t_in, t_tool, t_out))
+        tasks.extend((t_in, t_tool, t_out))
         finals.append(t_out.name)
-    builder._frontier = tuple(finals)
+    return tasks, tuple(finals)
 
 
-def _wavefront_tasks(workload: EventWorkload, model: CostModel) -> list[SimTask]:
-    """Task graph of the §VIII wavefront extension.
+# -- the wavefront plan's opaque tasks ----------------------------------------
 
-    The policy's sequential prologue (stages I, II and VII), then one
-    dependency chain per station — separation, two staged corrections,
-    Fourier, corners, three concurrent response traces, GEM and the
-    three plots — with a single epilogue merge, so only one driver
-    charge instead of ten.
-    """
-    builder = _GraphBuilder()
-    builder.add_chained([
-        SimTask(
-            name=f"prologue.P{pid}",
-            work_s=model.cost(pid, workload),
-            io_fraction=model.process(pid).io,
-            mem_fraction=model.process(pid).mem,
-            stage="prologue",
-        )
-        for pid in (0, 1, 2, 5, 8, 17, 11)
-    ])
-    prologue = builder._frontier
+#: The prologue's processes (stages I, II and VII), in the order it runs them.
+_PROLOGUE = (0, 1, 2, 5, 8, 17, 11)
+
+
+def _wavefront_prologue(
+    label: str, barrier: tuple[str, ...], workload: EventWorkload, model: CostModel
+) -> Expansion:
+    names = [(f"{label}.P{pid}", pid) for pid in _PROLOGUE]
+    return _seq_chain(label, names, barrier, workload, model)
+
+
+def _wavefront_fanout(
+    label: str, barrier: tuple[str, ...], workload: EventWorkload, model: CostModel
+) -> Expansion:
+    """One dependency chain per station — separation, two staged
+    corrections, Fourier, corners, three concurrent response traces,
+    GEM and the three plots — with no stage barriers."""
     ovh = model.overheads
-
     shares = {pid: model.file_cost_shares(pid, workload) for pid in
               (3, 4, 7, 10, 13, 16, 19, 9, 15, 18)}
+    tasks: list[SimTask] = []
     finals: list[str] = []
     for i, points in enumerate(workload.file_points):
         staging = 0.5 * (ovh.tool_instance_fixed_s + ovh.tool_staging_per_point_s * points)
 
-        def chain_task(name: str, pid: int, work: float, deps: tuple[str, ...]) -> SimTask:
-            pc = model.process(pid)
-            return SimTask(
-                name=name,
-                work_s=work + ovh.loop_item_s,
-                io_fraction=pc.io,
-                mem_fraction=pc.mem,
-                deps=deps,
-                stage="wavefront",
-            )
+        def step(name: str, pid: int, work: float, deps: tuple[str, ...]) -> SimTask:
+            return _process_task(name, pid, work + ovh.loop_item_s, label, deps, model)
 
-        tasks = [
-            chain_task(f"wf.{i}.p3", 3, shares[3][i], prologue),
-            chain_task(f"wf.{i}.p4", 4, shares[4][i] + 2 * staging, (f"wf.{i}.p3",)),
-            chain_task(f"wf.{i}.p7", 7, shares[7][i] + 2 * staging, (f"wf.{i}.p4",)),
-            chain_task(f"wf.{i}.p10", 10, shares[10][i], (f"wf.{i}.p7",)),
-            chain_task(f"wf.{i}.p13", 13, shares[13][i] + 2 * staging, (f"wf.{i}.p10",)),
-        ]
+        tasks.extend((
+            step(f"wf.{i}.p3", 3, shares[3][i], barrier),
+            step(f"wf.{i}.p4", 4, shares[4][i] + 2 * staging, (f"wf.{i}.p3",)),
+            step(f"wf.{i}.p7", 7, shares[7][i] + 2 * staging, (f"wf.{i}.p4",)),
+            step(f"wf.{i}.p10", 10, shares[10][i], (f"wf.{i}.p7",)),
+            step(f"wf.{i}.p13", 13, shares[13][i] + 2 * staging, (f"wf.{i}.p10",)),
+        ))
         # Three response traces run as the chain's widest point.
-        trace_names = []
-        for c in range(3):
+        traces = tuple(f"wf.{i}.p16.{c}" for c in range(3))
+        tasks.extend(
+            step(name, 16, shares[16][i] / 3.0, (f"wf.{i}.p13",)) for name in traces
+        )
+        tasks.extend((
+            step(f"wf.{i}.p19", 19, shares[19][i], traces),
+            step(f"wf.{i}.p9", 9, shares[9][i], (f"wf.{i}.p10",)),
+            step(f"wf.{i}.p15", 15, shares[15][i], (f"wf.{i}.p13",)),
+            step(f"wf.{i}.p18", 18, shares[18][i], traces),
+        ))
+        finals.extend((f"wf.{i}.p19", f"wf.{i}.p9", f"wf.{i}.p15", f"wf.{i}.p18"))
+    return tasks, tuple(finals)
+
+
+def _wavefront_epilogue(
+    label: str, barrier: tuple[str, ...], workload: EventWorkload, model: CostModel
+) -> Expansion:
+    # The shard merge is the serial driver work the fan-out's driver
+    # charge already models.
+    return [], barrier
+
+
+#: Custom task name -> hand expansion, for the wavefront plan only,
+#: until its station chains are real graph edges.
+_CUSTOM_EXPANSIONS: dict[str, Callable[..., Expansion]] = {
+    "prologue": _wavefront_prologue,
+    "wavefront": _wavefront_fanout,
+    "epilogue": _wavefront_epilogue,
+}
+
+_MEMBER_EXPANSIONS: dict[str, Callable[..., Expansion]] = {
+    SEQ: _task_member,  # submitted with the region's other members
+    TASK: _task_member,
+    LOOP: _loop_member,
+    TEMP_FOLDERS: _temp_folder_member,
+}
+
+
+# -- plan walking -------------------------------------------------------------
+
+
+def _effective_strategy(region: Region) -> str:
+    """The strategy the region runs with; a lone custom task's is the
+    one its stage span shows, as in the executor."""
+    if region.strategy == CUSTOM and len(region.tasks) == 1:
+        return region.tasks[0].span_strategy or CUSTOM
+    return region.strategy
+
+
+def _member(
+    region: Region, task: Task, barrier: tuple[str, ...],
+    workload: EventWorkload, model: CostModel,
+) -> Expansion:
+    if task.strategy == CUSTOM:
+        expand = _CUSTOM_EXPANSIONS.get(task.name)
+        if expand is None:
+            raise CalibrationError(
+                f"custom task {task.name!r} is opaque to the cost model; "
+                "its plan cannot be simulated"
+            )
+        return expand(region.label, barrier, workload, model)
+    return _MEMBER_EXPANSIONS[task.strategy](region.label, task.pid, barrier, workload, model)
+
+
+def _plan(name: str) -> list[Region]:
+    try:
+        policy = policy_by_name(name)
+    except ValueError as exc:
+        raise CalibrationError(str(exc)) from None
+    _graph, regions = policy.plan()
+    return regions
+
+
+def _expand(regions: list[Region], workload: EventWorkload, model: CostModel) -> list[SimTask]:
+    tasks: list[SimTask] = []
+    frontier: tuple[str, ...] = ()
+    for region in regions:
+        label = region.label
+        if region.strategy == SEQ:
+            chain = [
+                (task.name if task.name == label else f"{label}.{task.name}", task.pid)
+                for task in region.tasks
+            ]
+            added, frontier = _seq_chain(label, chain, frontier, workload, model)
+            tasks.extend(added)
+            continue
+        finals: list[str] = []
+        for task in region.tasks:
+            added, ends = _member(region, task, frontier, workload, model)
+            tasks.extend(added)
+            finals.extend(ends)
+        frontier = tuple(finals)
+        if _effective_strategy(region) != SEQ:
+            # Serial driver work trails every parallel region (see
+            # Overheads.driver_cost); attributed to no stage so the
+            # Fig. 11 per-stage spans stay clean.
             tasks.append(
-                chain_task(
-                    f"wf.{i}.p16.{c}", 16, shares[16][i] / 3.0, (f"wf.{i}.p13",)
+                SimTask(
+                    name=f"{label}.driver",
+                    work_s=model.overheads.driver_cost(workload.total_points),
+                    io_fraction=0.6,
+                    deps=frontier,
+                    stage="driver",
                 )
             )
-            trace_names.append(f"wf.{i}.p16.{c}")
-        tasks.append(chain_task(f"wf.{i}.p19", 19, shares[19][i], tuple(trace_names)))
-        tasks.append(chain_task(f"wf.{i}.p9", 9, shares[9][i], (f"wf.{i}.p10",)))
-        tasks.append(chain_task(f"wf.{i}.p15", 15, shares[15][i], (f"wf.{i}.p13",)))
-        tasks.append(chain_task(f"wf.{i}.p18", 18, shares[18][i], tuple(trace_names)))
-        builder.tasks.extend(tasks)
-        finals.extend((f"wf.{i}.p19", f"wf.{i}.p9", f"wf.{i}.p15", f"wf.{i}.p18"))
-
-    builder._frontier = tuple(finals)
-    builder.add_chained(
-        [
-            SimTask(
-                name="wf.epilogue",
-                work_s=model.overheads.driver_cost(workload.total_points),
-                io_fraction=0.6,
-                stage="driver",
-            )
-        ]
-    )
-    return builder.tasks
+            frontier = (f"{label}.driver",)
+    return tasks
 
 
 def build_sim_tasks(
@@ -353,71 +330,8 @@ def build_sim_tasks(
     workload: EventWorkload,
     model: CostModel = DEFAULT_COST_MODEL,
 ) -> list[SimTask]:
-    """The simulated task graph of one implementation on one workload."""
-    if implementation == "seq-original":
-        return _sequential_tasks(ORIGINAL_ORDER, workload, model)
-    if implementation == "seq-optimized":
-        return _sequential_tasks(OPTIMIZED_ORDER, workload, model)
-    if implementation == "wavefront-parallel":
-        return _wavefront_tasks(workload, model)
-    if implementation not in _PARALLEL_STAGES:
-        raise CalibrationError(f"unknown implementation {implementation!r}")
-    parallel_stages = _PARALLEL_STAGES[implementation]
-
-    builder = _GraphBuilder()
-    for stage in STAGES:
-        strategy = (
-            stage.partial_strategy
-            if implementation == "partial-parallel"
-            else stage.full_strategy
-        )
-        if stage.name not in parallel_stages:
-            strategy = SEQ
-        if strategy != SEQ:
-            pending_driver = True
-        else:
-            pending_driver = False
-        if strategy == SEQ:
-            layer = []
-            for pid in stage.processes:
-                pc = model.process(pid)
-                layer.append(
-                    SimTask(
-                        name=f"{stage.name}.P{pid}",
-                        work_s=model.cost(pid, workload),
-                        io_fraction=pc.io,
-                        mem_fraction=pc.mem,
-                        stage=stage.name,
-                    )
-                )
-            builder.add_chained(layer)
-        elif strategy == TASKS:
-            builder.add_layer(
-                _stage_tasks_parallel(stage.name, stage.processes, workload, model)
-            )
-        elif strategy == LOOP:
-            (pid,) = stage.processes
-            _stage_loop_parallel(stage.name, pid, workload, model, builder)
-        elif strategy == TEMP_FOLDERS:
-            (pid,) = stage.processes
-            _stage_temp_folders(stage.name, pid, workload, model, builder)
-        else:
-            raise CalibrationError(f"unknown strategy {strategy!r}")
-        if pending_driver:
-            # Serial driver work trails every parallel stage (see
-            # Overheads.driver_cost); attributed to no stage so the
-            # Fig. 11 per-stage spans stay clean.
-            builder.add_chained(
-                [
-                    SimTask(
-                        name=f"{stage.name}.driver",
-                        work_s=model.overheads.driver_cost(workload.total_points),
-                        io_fraction=0.6,
-                        stage="driver",
-                    )
-                ]
-            )
-    return builder.tasks
+    """The simulated task graph of one policy's plan on one workload."""
+    return _expand(_plan(implementation), workload, model)
 
 
 def simulate_implementation(
@@ -426,15 +340,15 @@ def simulate_implementation(
     model: CostModel = DEFAULT_COST_MODEL,
     machine: SimulatedMachine = PAPER_MACHINE,
 ) -> SimulationResult:
-    """Simulate one implementation end-to-end on the machine model.
+    """Simulate one policy end-to-end on the machine model.
 
-    The sequential implementations run on a single speed-1.0 worker
-    (the paper's baseline measures one core); the parallel ones use the
-    full machine.
+    A plan with no parallel region runs on a single speed-1.0 worker
+    (the paper's baseline measures one core); the others use the full
+    machine.
     """
-    tasks = build_sim_tasks(implementation, workload, model)
-    if implementation.startswith("seq-"):
+    regions = _plan(implementation)
+    if all(_effective_strategy(region) == SEQ for region in regions):
         machine = SimulatedMachine(
             speeds=(1.0,), io_capacity=machine.io_capacity, mem_capacity=machine.mem_capacity
         )
-    return simulate_task_graph(tasks, machine)
+    return simulate_task_graph(_expand(regions, workload, model), machine)

@@ -18,8 +18,8 @@ from pathlib import Path
 
 from repro.core import RunContext
 from repro.core.context import ParallelSettings
-from repro.engine import PAPER_POLICIES, pipeline_factory, policy_names
-from repro.errors import ReproError
+from repro.engine import pipeline_factory, policy_names
+from repro.errors import CalibrationError, ReproError
 from repro.parallel.backend import Backend
 from repro.spectra.response import ResponseSpectrumConfig, default_periods
 
@@ -265,8 +265,7 @@ def _build_bench_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--policy",
         default="full-parallel",
-        # The policies repro.bench.taskgraphs can simulate.
-        choices=PAPER_POLICIES + ("wavefront-parallel",),
+        choices=policy_names(),
         help="scheduling policy for 'schedule' rendering",
     )
     return parser
@@ -274,7 +273,8 @@ def _build_bench_parser() -> argparse.ArgumentParser:
 
 def main_bench(argv: list[str] | None = None) -> int:
     """Entry point of ``repro-bench``."""
-    args = _build_bench_parser().parse_args(argv)
+    parser = _build_bench_parser()
+    args = parser.parse_args(argv)
     if args.experiment == "table1":
         from repro.bench.table1 import render_table1, table1_model
 
@@ -317,7 +317,10 @@ def main_bench(argv: list[str] | None = None) -> int:
         from repro.bench.render import render_schedule_ps
 
         out = args.render or "schedule.ps"
-        render_schedule_ps(out, args.policy)
+        try:
+            render_schedule_ps(out, args.policy)
+        except CalibrationError as exc:
+            parser.error(f"--policy {args.policy}: {exc}")
         print(f"rendered {out}")
     elif args.experiment == "pipeline-map":
         from repro.core.pipeline_map import render_pipeline_map

@@ -36,10 +36,8 @@ from repro.core.registry import PROCESSES, ProcessSpec
 from repro.core.stages import STAGES, StageSpec
 from repro.core.dependencies import (
     build_process_graph,
-    critical_path,
     parallelizable_sets,
     validate_sequential_order,
-    validate_stage_plan,
 )
 
 __all__ = [
@@ -61,8 +59,6 @@ __all__ = [
     "STAGES",
     "StageSpec",
     "build_process_graph",
-    "critical_path",
     "validate_sequential_order",
-    "validate_stage_plan",
     "parallelizable_sets",
 ]

@@ -8,10 +8,6 @@ validations and discovery tools the paper's reordering relied on:
   ``DiGraph`` (edge attribute ``kind``);
 - :func:`validate_sequential_order` — check a linear order (the
   original 0..19 numbering, the optimized 17-process order);
-- :func:`validate_stage_plan` — check an 11-stage plan: cross-stage
-  edges must point forward and a stage may not contain internal edges
-  (its members must be mutually independent, or they could not be run
-  as parallel tasks);
 - :func:`parallelizable_sets` — the antichain layering (graph
   "generations"): the maximal sets of processes that could run
   concurrently, which is how the stage plan of Fig. 9 is discovered.
@@ -131,37 +127,6 @@ def validate_sequential_order(order: list[int] | tuple[int, ...]) -> None:
             )
 
 
-def validate_stage_plan(stages: list[tuple[str, tuple[int, ...]]]) -> None:
-    """Raise unless the stage plan is executable with per-stage barriers.
-
-    Requirements: every process appears exactly once; all dependency
-    edges point to the same or a later stage; and no edge joins two
-    processes of the same stage (stage members run as parallel tasks,
-    so they must be independent).
-    """
-    pids: list[int] = []
-    stage_of: dict[int, int] = {}
-    for idx, (_name, members) in enumerate(stages):
-        for pid in members:
-            if pid in stage_of:
-                raise StageOrderError(f"P{pid} appears in more than one stage")
-            stage_of[pid] = idx
-            pids.append(pid)
-    graph = build_process_graph(pids)
-    for a, b in graph.edges:
-        data = graph.edges[a, b]
-        if stage_of[a] > stage_of[b]:
-            raise StageOrderError(
-                f"stage plan runs P{b} (stage {stages[stage_of[b]][0]}) before its "
-                f"{data['kind'].upper()} dependency P{a} (stage {stages[stage_of[a]][0]})"
-            )
-        if stage_of[a] == stage_of[b]:
-            raise StageOrderError(
-                f"stage {stages[stage_of[a]][0]} contains dependent processes "
-                f"P{a} -> P{b} (artifact {data['artifact']}); stage members must be independent"
-            )
-
-
 def parallelizable_sets(pids: list[int] | tuple[int, ...]) -> list[list[int]]:
     """Antichain layers of the dependency DAG (topological generations).
 
@@ -173,21 +138,3 @@ def parallelizable_sets(pids: list[int] | tuple[int, ...]) -> list[list[int]]:
     graph = build_process_graph(list(pids))
     return [sorted(generation) for generation in nx.topological_generations(graph)]
 
-
-def critical_path(pids: list[int] | tuple[int, ...], weights: dict[int, float]) -> tuple[list[int], float]:
-    """Longest weighted path through the dependency DAG.
-
-    ``weights`` maps pid to its execution cost; the returned path is
-    the theoretical lower bound on any parallel schedule's makespan.
-    """
-    graph = build_process_graph(list(pids))
-    for pid in graph.nodes:
-        if pid not in weights:
-            raise DependencyError(f"no weight for P{pid}")
-    best: dict[int, tuple[float, list[int]]] = {}
-    for pid in nx.topological_sort(graph):
-        incoming = [best[p] for p in graph.predecessors(pid)]
-        base, path = max(incoming, key=lambda t: t[0]) if incoming else (0.0, [])
-        best[pid] = (base + weights[pid], path + [pid])
-    cost, path = max(best.values(), key=lambda t: t[0])
-    return path, cost

@@ -49,7 +49,7 @@ def render_process_table() -> str:
     )
 
 
-def render_stage_plan() -> str:
+def render_stage_table() -> str:
     """The Fig. 9 equivalent: stages, strategies and dependency edges."""
     rows = []
     for stage in STAGES:
@@ -100,6 +100,6 @@ def render_pipeline_map() -> str:
             "Process inventory (paper Fig. 5)",
             render_process_table(),
             "Stage plan and dependencies (paper Fig. 9)",
-            render_stage_plan(),
+            render_stage_table(),
         ]
     )

@@ -59,11 +59,6 @@ STAGES: tuple[StageSpec, ...] = (
 )
 
 
-def stage_plan() -> list[tuple[str, tuple[int, ...]]]:
-    """The plan in the shape :func:`validate_stage_plan` checks."""
-    return [(stage.name, stage.processes) for stage in STAGES]
-
-
 def stage_of_process(pid: int) -> StageSpec:
     """The stage a process belongs to (raises for removed processes)."""
     for stage in STAGES:
@@ -71,11 +66,3 @@ def stage_of_process(pid: int) -> StageSpec:
             return stage
     raise KeyError(f"P{pid} is not part of the optimized stage plan")
 
-
-#: Stages parallel in the partially-parallelized implementation (5 of 11).
-PARTIAL_PARALLEL_STAGES: tuple[str, ...] = ("I", "II", "VI", "X", "XI")
-
-#: Stages parallel in the fully-parallelized implementation (10 of 11).
-FULL_PARALLEL_STAGES: tuple[str, ...] = (
-    "I", "II", "III", "IV", "V", "VI", "VIII", "IX", "X", "XI"
-)

@@ -162,7 +162,7 @@ class Engine:
     # -- plan execution ----------------------------------------------------
 
     def execute(self, ctx: RunContext, result: PipelineResult) -> None:
-        graph, regions = self.policy.plan(ctx)
+        graph, regions = self.policy.plan()
         graph.validate_regions(regions)
         if self.verify:
             self._verify_plan(graph, regions)

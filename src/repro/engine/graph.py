@@ -196,9 +196,8 @@ class TaskGraph:
 
         Every task must appear exactly once, cross-region edges must
         point forward, and no edge may join two members of one region
-        (members run concurrently, so they must be independent).  This
-        is :func:`repro.core.dependencies.validate_stage_plan` lifted
-        to task graphs.
+        (members run concurrently, so they must be independent).  The
+        one check of every barrier plan, the Fig. 9 stage plan included.
         """
         region_of: dict[str, int] = {}
         for idx, region in enumerate(regions):

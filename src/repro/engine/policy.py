@@ -39,12 +39,7 @@ from repro.core import incremental
 from repro.core.processes.p03_separate import stations_from_list
 from repro.core.registry import OPTIMIZED_ORDER, ORIGINAL_ORDER, PROCESSES
 from repro.core.runner import ProcessTiming
-from repro.core.stages import (
-    FULL_PARALLEL_STAGES,
-    PARTIAL_PARALLEL_STAGES,
-    STAGES,
-    TASKS,
-)
+from repro.core.stages import STAGES
 from repro.engine.graph import (
     CUSTOM,
     LOOP,
@@ -82,8 +77,12 @@ class SchedulingPolicy:
     name: str = ""
     description: str = ""
 
-    def plan(self, ctx) -> tuple[TaskGraph, list[Region]]:
-        """The (graph, barrier regions) pair the engine executes."""
+    def plan(self) -> tuple[TaskGraph, list[Region]]:
+        """The (graph, barrier regions) pair the engine executes.
+
+        A function of the policy alone: the executor, the graph
+        verifier and the simulator all read this one plan.
+        """
         raise NotImplementedError
 
     def pipeline(self):
@@ -112,7 +111,7 @@ class SequentialPolicy(SchedulingPolicy):
         self.name = name
         self.description = description
 
-    def plan(self, ctx) -> tuple[TaskGraph, list[Region]]:
+    def plan(self) -> tuple[TaskGraph, list[Region]]:
         builder = PipelineBuilder(name=self.name)
         tasks = builder.add_processes(self.order, strategy=SEQ)
         graph = builder.build()
@@ -146,7 +145,7 @@ class StagedPolicy(SchedulingPolicy):
         self.strategies = dict(strategies or {})
         self.fuse = fuse
 
-    def plan(self, ctx) -> tuple[TaskGraph, list[Region]]:
+    def plan(self) -> tuple[TaskGraph, list[Region]]:
         builder = PipelineBuilder(name=self.name)
         regions: list[Region] = []
         for stage in STAGES:
@@ -188,7 +187,7 @@ class DerivedPolicy(SchedulingPolicy):
         self.name = name
         self.description = description
 
-    def plan(self, ctx) -> tuple[TaskGraph, list[Region]]:
+    def plan(self) -> tuple[TaskGraph, list[Region]]:
         strategy_of = {
             pid: _MEMBER_STRATEGY[stage.full_strategy]
             for stage in STAGES
@@ -216,7 +215,7 @@ class WavefrontPolicy(SchedulingPolicy):
     name = "wavefront-parallel"
     description = "Wavefront: per-station pipelines, no stage barriers (§VIII)"
 
-    def plan(self, ctx) -> tuple[TaskGraph, list[Region]]:
+    def plan(self) -> tuple[TaskGraph, list[Region]]:
         state: dict = {}
         builder = PipelineBuilder(name=self.name)
         # Effects are declared so the graph verifier can prove the
@@ -333,7 +332,7 @@ class IncrementalPolicy(SchedulingPolicy):
         self.skipped: list[int] = []
         self.restored: list[int] = []
 
-    def plan(self, ctx) -> tuple[TaskGraph, list[Region]]:
+    def plan(self) -> tuple[TaskGraph, list[Region]]:
         self.executed, self.skipped, self.restored = [], [], []
         run: dict = {}
         builder = PipelineBuilder(name=self.name)
@@ -422,7 +421,7 @@ class GraphPolicy(SchedulingPolicy):
             )
         self.description = f"User-built graph ({len(self._graph)} tasks)"
 
-    def plan(self, ctx) -> tuple[TaskGraph, list[Region]]:
+    def plan(self) -> tuple[TaskGraph, list[Region]]:
         return self._graph, self._graph.derive_regions()
 
 
@@ -430,20 +429,11 @@ class GraphPolicy(SchedulingPolicy):
 
 
 def _partial_strategies() -> dict[str, str]:
-    return {
-        stage.name: stage.partial_strategy
-        for stage in STAGES
-        if stage.name in PARTIAL_PARALLEL_STAGES
-        and stage.partial_strategy in (TASKS, LOOP)
-    }
+    return {stage.name: stage.partial_strategy for stage in STAGES}
 
 
 def _full_strategies() -> dict[str, str]:
-    return {
-        stage.name: stage.full_strategy
-        for stage in STAGES
-        if stage.name in FULL_PARALLEL_STAGES
-    }
+    return {stage.name: stage.full_strategy for stage in STAGES}
 
 
 #: The paper's four schemes (§III–§VI), in presentation order.

@@ -41,7 +41,7 @@ class TestRaceProof:
         """Every parallel region of the full-parallel plan (the paper's
         Fig. 9 stages) has concurrent units to prove disjoint, and every
         loop or temp-folder member its keyed per-unit model."""
-        _, regions = policy_by_name("full-parallel").plan(None)
+        _, regions = policy_by_name("full-parallel").plan()
         assert [r.label for r in regions] == [stage.name for stage in STAGES]
         for stage, region in zip(STAGES, regions):
             if stage.full_strategy == SEQ:

@@ -16,6 +16,7 @@ from repro.bench.workloads import (
     scaled_workload,
     workload_for,
 )
+from repro.engine import policy_by_name, policy_names
 from repro.errors import CalibrationError
 from repro.parallel.simulate import simulate_task_graph, PAPER_MACHINE
 from repro.synth.events import PAPER_EVENTS
@@ -96,6 +97,25 @@ class TestGraphBuilder:
         seq = simulate_implementation("seq-optimized", small_workload).makespan_s
         full = simulate_implementation("full-parallel", small_workload).makespan_s
         assert full < seq
+
+    @pytest.mark.parametrize(
+        "policy", [name for name in policy_names() if name != "incremental"]
+    )
+    def test_every_plan_of_process_tasks_simulates(self, small_workload, policy):
+        # Stages are the plan's region labels, the keys the engine's
+        # PipelineResult.stage_durations uses.
+        _, regions = policy_by_name(policy).plan()
+        tasks = build_sim_tasks(policy, small_workload)
+        assert {t.stage for t in tasks} - {"driver"} <= {r.label for r in regions}
+        assert simulate_task_graph(tasks, PAPER_MACHINE).makespan_s > 0
+
+    def test_fused_regions_are_simulated_stages(self, small_workload):
+        stages = {t.stage for t in build_sim_tasks("full-parallel-fused", small_workload)}
+        assert {"II+III", "VI+VII", "X+XI"} <= stages
+
+    def test_opaque_custom_task_rejected_by_name(self, small_workload):
+        with pytest.raises(CalibrationError, match="custom task 'P0'"):
+            build_sim_tasks("incremental", small_workload)
 
     def test_driver_tasks_present_only_in_parallel(self, small_workload):
         seq_names = {t.stage for t in build_sim_tasks("seq-original", small_workload)}

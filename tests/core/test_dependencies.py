@@ -4,13 +4,12 @@ import pytest
 
 from repro.core.dependencies import (
     build_process_graph,
-    critical_path,
     parallelizable_sets,
     validate_sequential_order,
-    validate_stage_plan,
 )
 from repro.core.registry import OPTIMIZED_ORDER, ORIGINAL_ORDER, REDUNDANT_PROCESSES
-from repro.core.stages import STAGES, stage_plan
+from repro.core.stages import STAGES
+from repro.engine import Region, StagedPolicy
 from repro.errors import DependencyError, StageOrderError
 
 
@@ -74,8 +73,17 @@ class TestOrderValidation:
 
 
 class TestStagePlanValidation:
+    """The Fig. 9 stage plan is checked by the one barrier-plan check,
+    :meth:`TaskGraph.validate_regions`."""
+
+    @staticmethod
+    def _plan():
+        return StagedPolicy(name="fig9").plan()
+
     def test_paper_stage_plan_is_valid(self):
-        validate_stage_plan(stage_plan())
+        graph, regions = self._plan()
+        assert [r.label for r in regions] == [s.name for s in STAGES]
+        graph.validate_regions(regions)
 
     def test_plan_covers_optimized_processes(self):
         members = [pid for stage in STAGES for pid in stage.processes]
@@ -83,22 +91,23 @@ class TestStagePlanValidation:
         assert not set(members) & set(REDUNDANT_PROCESSES)
 
     def test_dependent_processes_in_one_stage_rejected(self):
-        bad = [("A", (0, 1, 2)), ("B", (3, 4, 5, 7, 8, 17)), ("C", (10, 11, 13)),
-               ("D", (16, 19, 9, 15, 18))]
-        with pytest.raises(StageOrderError):
-            validate_stage_plan(bad)
+        graph, regions = self._plan()
+        # P3 separates what P1 gathers: they cannot share a barrier group.
+        merged = Region("I+III", regions[0].tasks + regions[2].tasks, "tasks")
+        with pytest.raises(StageOrderError, match="must be independent"):
+            graph.validate_regions([merged] + regions[1:2] + regions[3:])
 
     def test_backwards_stage_rejected(self):
-        plan = stage_plan()
-        plan[2], plan[8] = plan[8], plan[2]  # stage IX before its inputs
-        with pytest.raises(StageOrderError):
-            validate_stage_plan(plan)
+        graph, regions = self._plan()
+        regions[2], regions[8] = regions[8], regions[2]  # stage IX before its inputs
+        with pytest.raises(StageOrderError, match="before its dependency"):
+            graph.validate_regions(regions)
 
     def test_duplicate_membership_rejected(self):
-        plan = stage_plan()
-        plan.append(("DUP", (16,)))
-        with pytest.raises(StageOrderError):
-            validate_stage_plan(plan)
+        graph, regions = self._plan()
+        regions.append(Region("DUP", regions[8].tasks, "seq"))
+        with pytest.raises(StageOrderError, match="more than one region"):
+            graph.validate_regions(regions)
 
 
 class TestDiscovery:
@@ -119,15 +128,3 @@ class TestDiscovery:
         graph = build_process_graph(OPTIMIZED_ORDER)
         for a, b in graph.edges:
             assert level[a] < level[b]
-
-    def test_critical_path(self):
-        weights = {pid: 1.0 for pid in OPTIMIZED_ORDER}
-        path, cost = critical_path(OPTIMIZED_ORDER, weights)
-        assert cost == len(path)
-        graph = build_process_graph(OPTIMIZED_ORDER)
-        for a, b in zip(path, path[1:]):
-            assert graph.has_edge(a, b)
-
-    def test_critical_path_requires_weights(self):
-        with pytest.raises(DependencyError):
-            critical_path(OPTIMIZED_ORDER, {0: 1.0})

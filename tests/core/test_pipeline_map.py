@@ -3,7 +3,7 @@
 from repro.core.pipeline_map import (
     render_pipeline_map,
     render_process_table,
-    render_stage_plan,
+    render_stage_table,
 )
 
 
@@ -28,22 +28,22 @@ class TestProcessTable:
 
 class TestStagePlan:
     def test_eleven_stages(self):
-        text = render_stage_plan()
+        text = render_stage_table()
         for stage in ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI"):
             assert f"\n{stage:>5}  " in text or text.startswith(f"{stage:>5}  ")
 
     def test_war_edge_listed(self):
         # The critical anti-dependency: P7 before P13's overwrite.
-        text = render_stage_plan()
+        text = render_stage_table()
         assert "P7 -> P13" in text
         assert "WAR" in text
 
     def test_antichain_layers_listed(self):
-        text = render_stage_plan()
+        text = render_stage_table()
         assert "layer 0: P0, P1, P2, P11" in text
 
     def test_strategies_shown(self):
-        text = render_stage_plan()
+        text = render_stage_table()
         assert "temp_folders" in text
         assert "tasks" in text
 

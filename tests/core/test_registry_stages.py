@@ -9,9 +9,7 @@ from repro.core.registry import (
     REDUNDANT_PROCESSES,
 )
 from repro.core.stages import (
-    FULL_PARALLEL_STAGES,
     LOOP,
-    PARTIAL_PARALLEL_STAGES,
     SEQ,
     STAGES,
     TASKS,
@@ -70,12 +68,13 @@ class TestStages:
 
     def test_partial_parallel_count(self):
         # Paper: 5 of 11 stages parallel in the partial implementation.
-        assert len(PARTIAL_PARALLEL_STAGES) == 5
+        parallel = [s.name for s in STAGES if s.partial_strategy != SEQ]
+        assert parallel == ["I", "II", "VI", "X", "XI"]
 
     def test_full_parallel_count(self):
         # Paper: all stages except VII (10 of 11).
-        assert len(FULL_PARALLEL_STAGES) == 10
-        assert "VII" not in FULL_PARALLEL_STAGES
+        sequential = [s.name for s in STAGES if s.full_strategy == SEQ]
+        assert sequential == ["VII"]
 
     def test_strategies_match_paper(self):
         by_name = {s.name: s for s in STAGES}

@@ -7,11 +7,18 @@ trusts: the Fig. 9 stage layout, the declaration-derived layering of
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
+from repro.analysis.graphlint import verify_policy
+from repro.analysis.model import ERROR, WARNING
+from repro.bench.taskgraphs import build_sim_tasks
+from repro.bench.workloads import EventWorkload
 from repro.core.dependencies import parallelizable_sets
 from repro.core.registry import OPTIMIZED_ORDER, ORIGINAL_ORDER
-from repro.core.stages import FULL_PARALLEL_STAGES, PARTIAL_PARALLEL_STAGES, STAGES
+from repro.core.stages import STAGES
 from repro.engine import (
     PipelineBuilder,
     SchedulingPolicy,
@@ -23,6 +30,8 @@ from repro.engine import (
     resolve_policy,
 )
 from repro.engine.policy import PAPER_POLICIES, POLICIES, SequentialPolicy
+from repro.parallel.simulate import simulate_task_graph
+from tests.conftest import hash_tree
 
 
 class TestRegistry:
@@ -86,9 +95,7 @@ class TestRegistry:
 
 
 def _plan(name: str):
-    policy = policy_by_name(name)
-    graph, regions = policy.plan(ctx=None)
-    return graph, regions
+    return policy_by_name(name).plan()
 
 
 class TestPlans:
@@ -125,22 +132,11 @@ class TestPlans:
 
     def test_partial_parallel_strategies_match_stage_table(self):
         _, regions = _plan("partial-parallel")
-        for region, stage in zip(regions, STAGES):
-            if stage.name in PARTIAL_PARALLEL_STAGES and stage.partial_strategy in (
-                "tasks",
-                "loop",
-            ):
-                assert region.strategy == stage.partial_strategy
-            else:
-                assert region.strategy == "seq"
+        assert [r.strategy for r in regions] == [s.partial_strategy for s in STAGES]
 
     def test_full_parallel_strategies_match_stage_table(self):
         _, regions = _plan("full-parallel")
-        for region, stage in zip(regions, STAGES):
-            if stage.name in FULL_PARALLEL_STAGES:
-                assert region.strategy == stage.full_strategy
-            else:
-                assert region.strategy == "seq"
+        assert [r.strategy for r in regions] == [s.full_strategy for s in STAGES]
 
     def test_fused_plan_executes_the_lint_advisories(self):
         _, regions = _plan("full-parallel-fused")
@@ -169,8 +165,7 @@ class TestPlans:
 
     @pytest.mark.parametrize("name", policy_names())
     def test_every_policy_plan_validates(self, name: str):
-        # Plans are built without a run context (the verifier's call).
-        graph, regions = policy_by_name(name).plan(None)
+        graph, regions = policy_by_name(name).plan()
         graph.validate_regions(regions)
         assert regions
 
@@ -178,3 +173,34 @@ class TestPlans:
         graph, regions = _plan("full-parallel")
         assert isinstance(graph, TaskGraph)
         assert isinstance(policy_by_name("full-parallel"), SchedulingPolicy)
+
+
+def _engine_md_authoring_example() -> str:
+    """The policy-authoring snippet of docs/engine.md, as written."""
+    text = (Path(__file__).parents[2] / "docs" / "engine.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.DOTALL)
+    (snippet,) = [b for b in blocks if "class FusedLayering" in b]
+    return snippet
+
+
+class TestAuthoringExample:
+    def test_engine_md_policy_runs_verifies_and_simulates(
+        self, workspace_with_input, completed_run
+    ):
+        namespace: dict = {}
+        exec(compile(_engine_md_authoring_example(), "docs/engine.md", "exec"), namespace)
+        name = namespace["FusedLayering"].name
+        try:
+            assert name in policy_names()
+            ctx = workspace_with_input
+            policy_by_name(name).run(ctx)
+            assert hash_tree(ctx.workspace.work_dir) == hash_tree(
+                completed_run.workspace.work_dir
+            )
+            findings = verify_policy(name)
+            assert [f for f in findings if f.severity in (ERROR, WARNING)] == []
+            workload = EventWorkload("W", "w", (10_000, 14_000))
+            assert simulate_task_graph(build_sim_tasks(name, workload)).makespan_s > 0
+        finally:
+            POLICIES.pop(name, None)
+        assert name not in policy_names()

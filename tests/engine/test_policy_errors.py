@@ -50,13 +50,13 @@ class TestFuseLabelDeterminism:
     def test_fused_labels_sorted_by_layer_then_name(self):
         from repro.engine.policy import policy_by_name
 
-        graph, regions = policy_by_name("full-parallel-fused").plan(None)
+        graph, regions = policy_by_name("full-parallel-fused").plan()
         labels = [r.label for r in regions if "+" in r.label]
         assert labels == ["II+III", "VI+VII", "X+XI"]
 
     def test_fuse_is_deterministic_across_rebuilds(self):
         from repro.engine.policy import policy_by_name
 
-        plans = [policy_by_name("full-parallel-fused").plan(None) for _ in range(3)]
+        plans = [policy_by_name("full-parallel-fused").plan() for _ in range(3)]
         label_seqs = [[r.label for r in regions] for _, regions in plans]
         assert label_seqs[0] == label_seqs[1] == label_seqs[2]

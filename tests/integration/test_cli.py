@@ -125,11 +125,20 @@ class TestBenchCli:
         assert rc == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("policy", ["dag-parallel", "full-parallel-fused"])
+    def test_schedule_renders_plans_beyond_the_paper(self, tmp_path, capsys, policy):
+        out = tmp_path / "sched.ps"
+        assert main_bench(["schedule", "--render", str(out), "--policy", policy]) == 0
+        assert out.read_text().startswith("%!PS")
+
     def test_schedule_rejects_a_policy_the_simulator_cannot_replay(self, capsys):
+        # The incremental plan is a chain of opaque custom tasks.
         with pytest.raises(SystemExit) as exc:
-            main_bench(["schedule", "--policy", "dag-parallel"])
+            main_bench(["schedule", "--policy", "incremental"])
         assert exc.value.code == 2
-        assert "invalid choice: 'dag-parallel'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--policy incremental: custom task 'P0'" in err
+        assert "Traceback" not in err
 
     def test_measured_single_event(self, capsys):
         assert main_bench(["measured", "--scale", "0.005"]) == 0
