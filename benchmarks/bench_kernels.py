@@ -60,6 +60,17 @@ def test_bench_response_p16_trace(benchmark, pseudo):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+#: One catalog-bulletin-sized trace (scale 0.02) on its 150-oscillator grid.
+TRACE_450 = RNG.normal(size=450) * np.hanning(450)
+GRID_150 = ResponseSpectrumConfig(periods=default_periods(30))
+
+
+def test_bench_response_p16_catalog_trace(benchmark):
+    spectrum = benchmark(response_spectrum_nigam_jennings, TRACE_450, DT, GRID_150)
+    for got, want in zip((spectrum.sd, spectrum.sv, spectrum.sa), nigam_jennings_loop(TRACE_450, DT, GRID_150)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_bench_response_duhamel_1k(benchmark):
     benchmark(response_spectrum_duhamel, SIGNAL_4K[:1024], DT, CONFIG)
 

@@ -33,7 +33,18 @@ from repro.analysis.graphlint import (
 )
 from repro.analysis.schedule_check import derive_redundant, schedule_findings
 from repro.analysis.static_conformance import analyze_processes, conformance_findings
-from repro.analysis.lint import main_lint, run_lint
+
+
+def __getattr__(name: str):
+    # The CLI module loads on first use: ``python -m repro.analysis.lint``
+    # imports this package first, and an eager import here would run
+    # the module twice (runpy warns that it is already in sys.modules).
+    if name in ("main_lint", "run_lint"):
+        from repro.analysis import lint
+
+        return getattr(lint, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ERROR",

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from repro.core.auditing import AuditedPath, maybe_activate
 from repro.observability.events import maybe_activate as events_activate
+from repro.observability.metrics import recording_registry
 from repro.errors import PipelineError
 from repro.formats.common import COMPONENTS
 from repro.formats.gem import GEM_QUANTITIES, GEM_SOURCES, gem_name
@@ -59,7 +60,11 @@ class Workspace:
         events_activate(self.root)
 
     def _wrap(self, path: Path) -> Path:
-        return AuditedPath(path) if self._audited else path
+        # While a metrics registry records, paths count artifact bytes
+        # through the same hooks, without an audit log.
+        if self._audited or recording_registry() is not None:
+            return AuditedPath(path)
+        return path
 
     @property
     def input_dir(self) -> Path:

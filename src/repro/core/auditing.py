@@ -11,6 +11,11 @@ processes need no coordination: they rebuild ``Workspace(root)``, see
 the marker, and log to their own files — so the audit works identically
 under the serial, thread and process backends.
 
+Artifact byte counts for the metrics registry travel the same hooks
+without the log: while a registry records (a run with ``ctx.metrics``),
+the workspace hands out :class:`AuditedPath` objects too, and an access
+under no audited root is only counted, never written down.
+
 Attribution: :func:`unit_scope` tags accesses with the pipeline process
 (``P16``) and the concurrency unit (a station, a trace, a temp-folder
 instance) that performed them.  Scopes do not override an enclosing
@@ -28,7 +33,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import shutil
 import threading
 import time
 from contextlib import contextmanager
@@ -72,20 +76,6 @@ def enable_auditing(root: Path | str) -> Path:
     marker.mkdir(parents=True, exist_ok=True)
     _ACTIVE[str(root)] = root
     return marker
-
-
-def disable_auditing(root: Path | str) -> None:
-    """Deactivate auditing for ``root`` and remove the marker directory."""
-    root = Path(root)
-    key = str(root)
-    _ACTIVE.pop(key, None)
-    with _writers_lock:
-        for wkey in [k for k in _writers if k[0] == key]:
-            try:
-                _writers.pop(wkey).close()
-            except OSError:  # pragma: no cover - close failures are harmless
-                pass
-    shutil.rmtree(root / AUDIT_DIR, ignore_errors=True)
 
 
 def maybe_activate(root: Path) -> bool:
@@ -189,9 +179,11 @@ def _metrics_io(rel_path: str, op: str, nbytes: int, count_access: bool = True) 
 
 
 def record(root: Path | str, rel_path: str, op: str, nbytes: int | None = None) -> None:
-    """Append one access event (no-op unless ``root`` is audited)."""
+    """Append one access event; under an unaudited ``root`` only count
+    its bytes (a no-op unless a metrics registry records)."""
     key = str(root)
     if key not in _ACTIVE:
+        _metrics_io(rel_path, op, nbytes or 0)
         return
     if rel_path.startswith(AUDIT_DIR):
         return
@@ -282,7 +274,9 @@ class AuditedPath(_BASE):
     Derived paths (``parent``, ``/``, ``glob`` results) stay audited:
     the owning root is recovered by prefix against the active-root
     registry, so no per-instance state needs to survive ``pathlib``'s
-    internal reconstruction (or pickling into worker processes).
+    internal reconstruction (or pickling into worker processes).  A
+    path under no audited root is a metrics-only path: its accesses
+    are counted by artifact class and not logged.
     """
 
     __slots__ = ()
@@ -293,10 +287,11 @@ class AuditedPath(_BASE):
             if text.startswith(root + os.sep):
                 record(root, text[len(root) + 1 :].replace(os.sep, "/"), op, nbytes=nbytes)
                 return
+        _metrics_io(self.name, op, nbytes or 0)
 
     def _count_written(self, nbytes: int) -> None:
-        """Metrics-only byte count for a write whose access event was
-        already logged when :meth:`open` ran inside ``write_text``/
+        """Metrics-only byte count for a write whose access was already
+        counted when :meth:`open` ran inside ``write_text``/
         ``write_bytes``."""
         text = str(self)
         for root in _ACTIVE:
@@ -305,6 +300,7 @@ class AuditedPath(_BASE):
                 if not rel.startswith(AUDIT_DIR):
                     _metrics_io(rel, "write", nbytes, count_access=False)
                 return
+        _metrics_io(self.name, "write", nbytes, count_access=False)
 
     def _read_size(self) -> int | None:
         try:

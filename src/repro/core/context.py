@@ -97,9 +97,8 @@ class RunContext:
     #: Optional run-metrics registry (see
     #: :mod:`repro.observability.metrics`); the runtime and stage
     #: executors count chunks, tasks, I/O bytes and data points into
-    #: it.  Setting it implicitly enables the artifact audit hooks for
-    #: the run (they are the byte-count source), without the exit-time
-    #: conformance check that :attr:`audit` requests.
+    #: it.  Byte counts come from the workspace's path hooks; no audit
+    #: log is written unless :attr:`audit` asks for one.
     #: Excluded from equality — metrics never change artifacts.
     metrics: "MetricsRegistry | None" = field(default=None, repr=False, compare=False)
     #: Optional sampling profiler (see

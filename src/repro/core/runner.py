@@ -133,12 +133,10 @@ class PipelineImplementation(ABC):
 
     def run(self, ctx: RunContext) -> PipelineResult:
         """Run end-to-end against the context's workspace."""
-        if ctx.audit or ctx.metrics is not None:
+        if ctx.audit:
             from repro.core.artifacts import Workspace
             from repro.core.auditing import enable_auditing
 
-            # Metrics piggyback on the audit hooks for per-artifact
-            # byte counts, so a metrics-carrying run audits too.
             enable_auditing(ctx.workspace.root)
             # Rebuild so the workspace picks up the fresh marker (its
             # audited flag is fixed at construction time).
@@ -250,15 +248,6 @@ class PipelineImplementation(ABC):
                 help="End-to-end wall-clock of the run.",
                 implementation=self.name,
             ).set_max(result.total_s)
-            if not ctx.audit:
-                # Metrics-only runs enabled the audit hooks just for
-                # byte counts; drop the marker so later runs against
-                # this workspace are not audited by surprise.
-                from repro.core.artifacts import Workspace
-                from repro.core.auditing import disable_auditing
-
-                disable_auditing(ctx.workspace.root)
-                ctx.workspace = Workspace(ctx.workspace.root)
         from repro.observability.ledger import maybe_append_run
 
         # No-op unless a ledger is configured (REPRO_LEDGER); appending

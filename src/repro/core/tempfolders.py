@@ -6,7 +6,8 @@ folder, moving inputs in and outputs back out.  This module reproduces
 the mechanics faithfully:
 
 1. create ``work/tmp/<stage>_<index>/``;
-2. copy the instance's input files (and its tool.cfg) into it;
+2. hard-link the instance's input files into it (a copy only where the
+   filesystem has no hard links) and write its tool.cfg there;
 3. run the tool against the folder — the tool sees only the folder,
    exactly like a binary launched with that working directory;
 4. move the produced outputs back into ``work/``;
@@ -19,10 +20,18 @@ analogue — the cost model charges for it instead.)
 Outputs land in distinct destination files per instance, so the
 parallel loop is race-free; merged artifacts (the ``*.max`` lines) are
 combined deterministically afterwards.
+
+A link costs a directory entry where a copy creates and fills a file,
+and staging is pure communication cost.  The tools only read their
+inputs and write outputs under new names, so a linked input is never
+written through; the one writer of staged inputs, the resilience
+layer's file faults, replaces the folder's file rather than writing
+into it (:func:`repro.resilience.faults.garble_line`).
 """
 
 from __future__ import annotations
 
+import os
 import shutil
 from dataclasses import dataclass, field
 
@@ -84,16 +93,21 @@ def run_staged_instance(workspace_root: str, instance: StagedInstance) -> list:
     runtime = runtime_for(workspace.root)
     reports: list = []
     with unit_scope(process, instance.folder_name):
-        folder.mkdir(parents=True, exist_ok=True)
+        try:
+            folder.mkdir(parents=True)
+        except FileExistsError:
+            # Left by a killed run: its entries may be links into work/.
+            shutil.rmtree(folder)
+            folder.mkdir()
         try:
             for name in instance.inputs:
                 src = work / name
                 if not src.exists():
                     raise MissingArtifactError(str(src), f"stage {instance.stage}")
-                # shutil bypasses Path.open, so the staging copies and
+                # Links and shutil bypass Path.open, so the staging and
                 # the collection moves are recorded explicitly.
                 record(workspace.root, f"work/{name}", "read")
-                shutil.copy2(src, folder / name)
+                _stage_in(src, folder / name)
             if instance.config:
                 write_tool_config(folder, **dict(instance.config))
             if runtime is not None:
@@ -119,6 +133,14 @@ def run_staged_instance(workspace_root: str, instance: StagedInstance) -> list:
         finally:
             shutil.rmtree(folder, ignore_errors=True)
     return reports
+
+
+def _stage_in(src, dest) -> None:
+    """Hard-link ``src`` to ``dest``; copy where links are unsupported."""
+    try:
+        os.link(src, dest)
+    except OSError:
+        shutil.copy2(src, dest)
 
 
 def _station_of_artifact(name: str) -> str:

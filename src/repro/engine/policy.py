@@ -333,7 +333,6 @@ class IncrementalPolicy(SchedulingPolicy):
         self.restored: list[int] = []
 
     def plan(self) -> tuple[TaskGraph, list[Region]]:
-        self.executed, self.skipped, self.restored = [], [], []
         run: dict = {}
         builder = PipelineBuilder(name=self.name)
         previous: list[str] = []
@@ -359,6 +358,9 @@ class IncrementalPolicy(SchedulingPolicy):
 
     def _step(self, run: dict, pid: int, ctx, result) -> None:
         if not run:
+            # The first step starts the run's report; reading the plan
+            # (a lint of the policy after its run) leaves it alone.
+            self.executed, self.skipped, self.restored = [], [], []
             run["stations"] = ctx.stations()
             run["config"] = incremental.config_fingerprint(ctx)
             run["state"] = incremental.load_state(ctx.workspace.root)

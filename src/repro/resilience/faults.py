@@ -10,8 +10,10 @@ on any implementation and backend:
     line overwritten with garbage — the first time a legacy tool is
     about to read it.  Corruption is *idempotent*: re-applying it to an
     already-corrupted file changes nothing, so staged temp-folder
-    copies and the sequential in-place work file end up equally broken
-    without any shared state between workers.
+    inputs and the sequential in-place work file end up equally broken
+    without any shared state between workers.  A staged input is a
+    hard link to the workspace's artifact, so the corrupted text goes
+    to a fresh file renamed over the staged name, never into the link.
 
 ``drop-config`` / ``garble-config``
     Target: a tool process label (``P4``, ``P7``, ``P13``).  The
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -313,7 +316,7 @@ def truncate_lines(path: Path | str, digest: int) -> bool:
     block of every record format, so the next read raises a
     :class:`~repro.errors.FormatError`.  A file already at or below the
     target length is left alone, which is what makes re-application
-    (e.g. on a fresh temp-folder copy of the same artifact) stable.
+    (e.g. on a fresh temp-folder link to the same artifact) stable.
     """
     path = Path(path)
     if not path.exists():
@@ -322,7 +325,7 @@ def truncate_lines(path: Path | str, digest: int) -> bool:
     keep = 2 + digest % 6
     if len(lines) <= keep:
         return False
-    path.write_text("\n".join(lines[:keep]) + "\n")
+    _replace_text(path, "\n".join(lines[:keep]) + "\n")
     return True
 
 
@@ -343,5 +346,18 @@ def garble_line(path: Path | str, digest: int) -> bool:
     if lines[victim] == GARBLE_LINE:
         return False
     lines[victim] = GARBLE_LINE
-    path.write_text("\n".join(lines) + "\n")
+    _replace_text(path, "\n".join(lines) + "\n")
     return True
+
+
+def _replace_text(path: Path, text: str) -> None:
+    """Give ``path`` new contents through a sibling file and a rename.
+
+    A staged temp-folder input is a hard link to the workspace's own
+    artifact; writing into it would corrupt ``work/`` as well.  The
+    rename points the folder's name at a fresh file and leaves the
+    linked original alone.
+    """
+    sibling = path.with_name(path.name + ".fault")
+    sibling.write_text(text)
+    os.replace(sibling, path)

@@ -63,6 +63,24 @@ class TestSeededViolation:
         out = capsys.readouterr().out
         assert "maxvals" in out
 
+    def test_module_run_imports_the_cli_once(self):
+        # The package loads its CLI module lazily, so running it as
+        # __main__ raises no "found in sys.modules" RuntimeWarning.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = str(Path(repro.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.analysis.lint", "--help"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_cli_json_output(self, seeded_violation_dir: Path, capsys):
         import json
 

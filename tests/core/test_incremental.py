@@ -24,6 +24,15 @@ class TestIncrementalRunner:
         assert runner.executed == list(OPTIMIZED_ORDER)
         assert runner.skipped == []
 
+    def test_plan_after_run_keeps_the_report(self, incr_ctx):
+        from repro.analysis.graphlint import verify_policy
+
+        runner = policy_by_name("incremental")
+        runner.run(incr_ctx)
+        verify_policy(runner)
+        runner.plan()
+        assert runner.executed == list(OPTIMIZED_ORDER)
+
     def test_outputs_match_sequential(self, incr_ctx, tmp_path, tiny_dataset_dir):
         policy_by_name("incremental").run(incr_ctx)
         ref_ctx = make_context(tmp_path / "ref")

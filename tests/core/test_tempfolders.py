@@ -117,3 +117,104 @@ class TestRunStagedInstance:
         )
         with pytest.raises(PipelineError, match="did not produce"):
             run_staged_instance(str(ctx.workspace.root), inst)
+
+
+def _digests(directory, pattern):
+    import hashlib
+
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(directory.glob(pattern))}
+
+
+class TestStageInByLink:
+    """Inputs are hard links into ``work/``; nothing writes through them."""
+
+    def _spy_tool(self, monkeypatch, seen):
+        from repro.core import tempfolders
+
+        real = tempfolders.TOOLS["correction"]
+
+        def spy(folder):
+            work = folder.parents[1]
+            for staged in sorted(folder.glob("*.v1")):
+                seen[staged.name] = staged.stat().st_ino == (work / staged.name).stat().st_ino
+            return real(folder)
+
+        monkeypatch.setitem(tempfolders.TOOLS, "correction", spy)
+
+    def test_staged_input_shares_the_work_inode(self, prepared, monkeypatch):
+        ctx = prepared
+        station = stations_from_list(ctx.workspace)[0]
+        seen = {}
+        self._spy_tool(monkeypatch, seen)
+        inputs = _digests(ctx.workspace.work_dir, f"{station}*.v1")
+        run_staged_instance(str(ctx.workspace.root), correction_instance("IV", 0, station, "filter.par"))
+        assert seen == {f"{station}{c}.v1": True for c in "ltv"}
+        # The tool only reads what it shares with work/.
+        assert _digests(ctx.workspace.work_dir, f"{station}*.v1") == inputs
+        for comp in "ltv":
+            assert ctx.workspace.component_v2(station, comp).exists()
+
+    def test_copy_fallback_when_links_fail(self, prepared, monkeypatch, tmp_path):
+        import errno
+        import shutil
+
+        from repro.core import tempfolders
+
+        ctx = prepared
+        station = stations_from_list(ctx.workspace)[0]
+        linked = tmp_path / "linked"
+        shutil.copytree(ctx.workspace.root, linked)
+        run_staged_instance(str(linked), correction_instance("IV", 0, station, "filter.par"))
+
+        def no_links(src, dst):
+            raise OSError(errno.EPERM, "hard links unsupported", str(dst))
+
+        copies = []
+        real_copy2 = shutil.copy2
+        monkeypatch.setattr(tempfolders.os, "link", no_links)
+        monkeypatch.setattr(tempfolders.shutil, "copy2", lambda s, d: copies.append(d.name) or real_copy2(s, d))
+        seen = {}
+        self._spy_tool(monkeypatch, seen)
+        run_staged_instance(str(ctx.workspace.root), correction_instance("IV", 0, station, "filter.par"))
+        assert sorted(copies) == sorted(["filter.par"] + [f"{station}{c}.v1" for c in "ltv"])
+        assert seen == {f"{station}{c}.v1": False for c in "ltv"}
+        assert _digests(ctx.workspace.work_dir, f"{station}*") == _digests(linked / "work", f"{station}*")
+
+    def test_stale_folder_of_a_killed_run_is_replaced(self, prepared):
+        import os
+
+        ctx = prepared
+        station = stations_from_list(ctx.workspace)[0]
+        inst = correction_instance("IV", 0, station, "filter.par")
+        stale = ctx.workspace.tmp_dir / inst.folder_name
+        stale.mkdir(parents=True)
+        os.link(ctx.workspace.work_dir / f"{station}l.v1", stale / f"{station}l.v1")
+        (stale / f"{station}l.v2").write_text("left over\n")
+        run_staged_instance(str(ctx.workspace.root), inst)
+        assert not stale.exists()
+        assert ctx.workspace.component_v2(station, "l").read_text() != "left over\n"
+
+    @pytest.mark.parametrize("kind", ["garble-v1", "truncate-v1"])
+    def test_file_fault_leaves_the_work_file_alone(self, prepared, kind):
+        from repro.resilience import FaultPlan, FaultSpec
+        from repro.resilience.retry import RetryPolicy
+        from repro.resilience.runtime import disable_resilience, enable_resilience
+
+        ctx = prepared
+        root = ctx.workspace.root
+        station = stations_from_list(ctx.workspace)[0]
+        before = _digests(ctx.workspace.work_dir, "*.v1")
+        plan = FaultPlan(
+            seed=3,
+            faults=(FaultSpec(kind=kind, target=f"{station}l.v1"),),
+            policy=RetryPolicy(max_attempts=1, base_delay_s=0.0),
+        )
+        enable_resilience(root, plan)
+        try:
+            reports = run_staged_instance(str(root), correction_instance("IV", 0, station, "filter.par"))
+        finally:
+            disable_resilience(root)
+        # The staged copy was corrupted (the record failed its read),
+        # the workspace's own artifact was not.
+        assert [r.record for r in reports] == [station]
+        assert _digests(ctx.workspace.work_dir, "*.v1") == before

@@ -110,3 +110,43 @@ def test_thread_and_process_backends_agree_on_invariants(
         assert reg_thread.total(
             "repro_artifact_io_bytes_total", op=op
         ) == reg_process.total("repro_artifact_io_bytes_total", op=op), op
+
+
+def _io_samples(registry: MetricsRegistry) -> dict:
+    return {
+        (name, tuple(sorted(labels.items()))): inst.value
+        for name in ("repro_artifact_io_total", "repro_artifact_io_bytes_total")
+        for labels, inst in registry.samples(name)
+    }
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def test_metrics_only_run_counts_io_without_auditing(
+    tmp_path: Path, dataset_dir: Path, backend: str, monkeypatch
+) -> None:
+    """Byte counts come from the metrics path itself: a metrics-only run
+    makes no audit marker and no access log, and counts exactly what an
+    audited run counts."""
+    from repro.core import auditing
+
+    enabled = []
+    real_enable = auditing.enable_auditing
+    monkeypatch.setattr(
+        auditing, "enable_auditing", lambda root: enabled.append(root) or real_enable(root)
+    )
+    metered = metered_run(tmp_path / "metered", dataset_dir, "full-parallel", backend)
+    assert enabled == []
+    assert not (tmp_path / "metered" / "ws" / auditing.AUDIT_DIR).exists()
+
+    ctx = make_context(
+        tmp_path / "audited" / "ws", parallel=ParallelSettings(backend, num_workers=2)
+    )
+    for src in dataset_dir.glob("*.v1"):
+        shutil.copy2(src, ctx.workspace.input_dir / src.name)
+    ctx.metrics = MetricsRegistry()
+    ctx.audit = True
+    policy_by_name("full-parallel").run(ctx)
+    assert enabled == [ctx.workspace.root]
+    assert any(auditing.iter_events(ctx.workspace.root))
+    assert _io_samples(metered) == _io_samples(ctx.metrics)
+    assert _io_samples(metered)
