@@ -35,17 +35,6 @@ from repro.analysis.schedule_check import derive_redundant, schedule_findings
 from repro.analysis.static_conformance import analyze_processes, conformance_findings
 
 
-def __getattr__(name: str):
-    # The CLI module loads on first use: ``python -m repro.analysis.lint``
-    # imports this package first, and an eager import here would run
-    # the module twice (runpy warns that it is already in sys.modules).
-    if name in ("main_lint", "run_lint"):
-        from repro.analysis import lint
-
-        return getattr(lint, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "ERROR",
     "INFO",
@@ -60,10 +49,8 @@ __all__ = [
     "derive_redundant",
     "happens_before_findings",
     "infer_effects",
-    "main_lint",
     "observed_access",
     "race_findings",
-    "run_lint",
     "schedule_findings",
     "verify_builder",
     "verify_graph",

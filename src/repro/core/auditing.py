@@ -78,6 +78,22 @@ def enable_auditing(root: Path | str) -> Path:
     return marker
 
 
+def release_auditing(root: Path | str) -> None:
+    """Stop recording under ``root`` and close this process's logs for it.
+
+    The marker directory and its logs stay on disk, so the run can be
+    cross-checked post hoc (``repro-lint --audit``).
+    """
+    key = str(Path(root))
+    _ACTIVE.pop(key, None)
+    with _writers_lock:
+        for wkey in [k for k in _writers if k[0] == key]:
+            try:
+                _writers.pop(wkey).close()
+            except OSError:  # pragma: no cover - close failures are harmless
+                pass
+
+
 def maybe_activate(root: Path) -> bool:
     """Activate auditing for ``root`` if its marker exists (Workspace init)."""
     if (root / AUDIT_DIR).is_dir():

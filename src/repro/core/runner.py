@@ -9,6 +9,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core import auditing
 from repro.core.context import RunContext
 from repro.observability.tracer import Trace, maybe_span
 
@@ -135,12 +136,19 @@ class PipelineImplementation(ABC):
         """Run end-to-end against the context's workspace."""
         if ctx.audit:
             from repro.core.artifacts import Workspace
-            from repro.core.auditing import enable_auditing
 
-            enable_auditing(ctx.workspace.root)
+            auditing.enable_auditing(ctx.workspace.root)
             # Rebuild so the workspace picks up the fresh marker (its
             # audited flag is fixed at construction time).
             ctx.workspace = Workspace(ctx.workspace.root)
+        try:
+            return self._run(ctx)
+        finally:
+            # The .audit/ log stays on disk for ``repro-lint --audit``;
+            # later accesses in this process no longer scan the root.
+            auditing.release_auditing(ctx.workspace.root)
+
+    def _run(self, ctx: RunContext) -> PipelineResult:
         ctx.workspace.create()
         ctx.workspace.require_input()
         stations = ctx.stations()

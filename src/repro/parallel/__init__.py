@@ -8,7 +8,8 @@ Two halves:
    ``thread`` (GIL-bound but fine for I/O-heavy stages) and
    ``process`` (GIL-free, used for FLOPS-heavy stages).  The worker
    pool is a run's only parallelism: :mod:`repro.parallel.native`
-   pins numpy's and scipy's OpenBLAS to one thread for the run.
+   pins every loaded OpenBLAS (numpy's; scipy's only if the caller
+   loaded it) to one thread for the run.
 
 2. **Simulated execution** — a deterministic machine model
    (:class:`SimulatedMachine`) with heterogeneous worker speeds and an

@@ -1,12 +1,16 @@
 """Native thread pools: the OpenBLAS builds numpy and scipy load.
 
 numpy and scipy each ship their own OpenBLAS, and each starts a thread
-pool sized to the host's cores.  A run's parallelism is its worker pool
-(one level, as in the paper's OpenMP code, whose Fortran bodies run
-sequentially), so BLAS threads inside pool workers only compete with
-the other workers for the same cores.  :func:`single_threaded_blas`
-pins every loaded OpenBLAS to one thread for the duration of a run,
-and every worker pool holds it while it is open.
+pool sized to the host's cores when it loads.  A pipeline process loads
+only numpy's: :mod:`repro.spectra.response` binds scipy's compiled
+filter without importing ``scipy.signal``, so scipy's OpenBLAS loads
+only when the caller imports something like ``scipy.linalg``.  A run's
+parallelism is its worker pool (one level, as in the paper's OpenMP
+code, whose Fortran bodies run sequentially), so BLAS threads inside
+pool workers only compete with the other workers for the same cores.
+:func:`single_threaded_blas` pins every loaded OpenBLAS to one thread
+for the duration of a run, and every worker pool holds it while it is
+open.
 
 The libraries are found the way they are loaded: by walking the
 process's loaded shared objects (``dl_iterate_phdr``) for files whose

@@ -33,13 +33,63 @@ to 20 s times 5 damping ratios.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal._sigtools import _linear_filter
 
 from repro.errors import SignalError
+
+_SIGTOOLS = "scipy.signal._sigtools"
+
+
+def _locate_sigtools() -> importlib.machinery.ModuleSpec | None:
+    """Spec of scipy's compiled ``_sigtools`` extension, found on disk
+    next to scipy's other files without importing any scipy package."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        return None
+    signal_dirs = [os.path.join(d, "signal") for d in scipy_spec.submodule_search_locations]
+    return importlib.machinery.PathFinder.find_spec(_SIGTOOLS, signal_dirs)
+
+
+def _bind_linear_filter():
+    """scipy's compiled DF2T filter, loaded without ``scipy.signal``.
+
+    ``from scipy.signal._sigtools import _linear_filter`` runs the
+    ``scipy.signal`` package ``__init__``, which imports ``scipy.stats``,
+    ``interpolate``, ``linalg`` (and its OpenBLAS) and about 720 modules
+    in all: some 68 MB of every process and forked pool worker, and over
+    a second of start-up.  Only the extension module is loaded here,
+    and it is registered in ``sys.modules`` under its own name, so the
+    function object is the one ``lfilter`` calls.  A later ``import
+    scipy.signal`` works as usual; the one difference is that the
+    package then has no ``_sigtools`` attribute, because the submodule
+    was already in ``sys.modules`` when the package ran.  If scipy's
+    file layout stops matching, the ordinary import is the fallback.
+    """
+    module = sys.modules.get(_SIGTOOLS)
+    if module is None:
+        spec = _locate_sigtools()
+        if spec is None:
+            from scipy.signal._sigtools import _linear_filter
+
+            return _linear_filter
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_SIGTOOLS] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[_SIGTOOLS]
+            raise
+    return module._linear_filter
+
+
+_linear_filter = _bind_linear_filter()
 
 #: Damping ratios (fraction of critical) the observatory reports.
 DEFAULT_DAMPINGS: tuple[float, ...] = (0.0, 0.02, 0.05, 0.10, 0.20)

@@ -65,3 +65,34 @@ def test_incremental_run_is_happens_before_clean(tmp_path: Path, tiny_dataset_di
     problems = [f for f in findings if f.severity in (ERROR, WARNING)]
     assert problems == [], [f.render() for f in problems]
     assert any("happens-before clean" in f.message for f in findings)
+
+
+def test_audited_runs_release_their_roots(tmp_path: Path, tiny_dataset_dir: Path, monkeypatch):
+    # A finished run stops scanning its root and closes this process's
+    # logs for it; the logs stay on disk for the post-hoc cross-check.
+    from repro.analysis.lint import main_lint
+    from repro.core import auditing
+
+    monkeypatch.setattr(auditing, "_ACTIVE", {})
+    monkeypatch.setattr(auditing, "_writers", {})
+    roots = [
+        _audited_run(tmp_path / f"ws{i}", "seq-optimized", "serial", tiny_dataset_dir).workspace.root
+        for i in range(2)
+    ]
+    assert auditing._ACTIVE == {}
+    assert auditing._writers == {}
+    for root in roots:
+        assert main_lint(["--strict", "--audit", str(root)]) == 0
+
+
+def test_failed_audited_run_releases_its_root(tmp_path: Path, monkeypatch):
+    from repro.core import auditing
+    from repro.errors import PipelineError
+
+    monkeypatch.setattr(auditing, "_ACTIVE", {})
+    ctx = make_context(tmp_path / "ws")  # no .v1 inputs: the run raises
+    ctx.audit = True
+    with pytest.raises(PipelineError):
+        policy_by_name("seq-optimized").run(ctx)
+    assert auditing._ACTIVE == {}
+    assert (ctx.workspace.root / auditing.AUDIT_DIR).is_dir()

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_processes, conformance_findings, main_lint
+from repro.analysis import analyze_processes, conformance_findings
+from repro.analysis.lint import main_lint
 from repro.analysis.model import ERROR
 from repro.analysis.static_conformance import default_processes_dir
 from repro.core.registry import PROCESSES
@@ -64,7 +65,7 @@ class TestSeededViolation:
         assert "maxvals" in out
 
     def test_module_run_imports_the_cli_once(self):
-        # The package loads its CLI module lazily, so running it as
+        # The package does not import its CLI module, so running it as
         # __main__ raises no "found in sys.modules" RuntimeWarning.
         import os
         import subprocess
