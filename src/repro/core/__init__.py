@@ -3,6 +3,8 @@ processing pipeline and its four implementations.
 
 - :mod:`repro.core.artifacts`    — workspace layout and file naming.
 - :mod:`repro.core.context`      — run configuration (:class:`RunContext`).
+- :mod:`repro.core.recording`    — the run handle: what a run records
+  (access audit, event log, fault plan) and where.
 - :mod:`repro.core.tools`        — "legacy binary" emulations: directory-
   driven tools with no API surface, exactly like the original Fortran
   programs the paper could not modify.

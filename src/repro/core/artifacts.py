@@ -11,6 +11,12 @@ workspace/
 
 All names are centralized here so no process module hard-codes a
 path; the dependency analysis reasons about the same names.
+
+A :class:`Workspace` is a plain path object.  Its accessors hand out
+:class:`~repro.core.auditing.AuditedPath` objects only while the bound
+run handle (:mod:`repro.core.recording`) audits this root, or while a
+metrics registry records; building one over a finished run's
+``.audit/`` or ``.events/`` directory switches nothing on.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.auditing import AuditedPath, maybe_activate
-from repro.observability.events import maybe_activate as events_activate
+from repro.core.auditing import AuditedPath
+from repro.core.recording import current
 from repro.observability.metrics import recording_registry
 from repro.errors import PipelineError
 from repro.formats.common import COMPONENTS
@@ -51,18 +57,15 @@ class Workspace:
 
     def __init__(self, root: Path | str) -> None:
         object.__setattr__(self, "root", Path(root))
-        # Runs with a .audit/ marker record every file access; workers
-        # rebuilding Workspace(root) re-detect the marker, so auditing
-        # survives the process backend without any argument plumbing.
-        object.__setattr__(self, "_audited", maybe_activate(self.root))
-        # The live event bus re-activates the same way off its own
-        # .events/ marker (see repro.observability.events).
-        events_activate(self.root)
 
     def _wrap(self, path: Path) -> Path:
-        # While a metrics registry records, paths count artifact bytes
+        # The bound run handle says whether this workspace is audited;
+        # while a metrics registry records, paths count artifact bytes
         # through the same hooks, without an audit log.
-        if self._audited or recording_registry() is not None:
+        handle = current()
+        if (handle is not None and handle.audit and handle.root == str(self.root)) or (
+            recording_registry() is not None
+        ):
             return AuditedPath(path)
         return path
 

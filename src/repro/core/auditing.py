@@ -2,19 +2,22 @@
 
 The registry's read/write declarations are *claims* about what the
 process code does; this module is the machinery that observes what it
-actually does.  When auditing is enabled for a workspace (a
-``<root>/.audit/`` marker directory exists), every
-:class:`~repro.core.artifacts.Workspace` accessor returns an
-:class:`AuditedPath` whose file opens append one JSON line per access
-to a per-(pid, thread) event log inside the marker directory.  Worker
-processes need no coordination: they rebuild ``Workspace(root)``, see
-the marker, and log to their own files — so the audit works identically
-under the serial, thread and process backends.
+actually does.  A run with ``ctx.audit`` binds a
+:class:`~repro.core.recording.RunHandle` that audits its workspace
+root; while it is bound, every :class:`~repro.core.artifacts.Workspace`
+accessor returns an :class:`AuditedPath` whose file opens append one
+JSON line per access to a per-(pid, thread) event log in
+``<root>/.audit/``.  Pool workers learn that the run is audited only
+from the handle their worker window binds, so the audit works
+identically under the serial, thread and process backends and on every
+start method.  The ``.audit/`` directory is an output, read post hoc by
+``repro-lint --audit``; building a ``Workspace`` over it switches
+nothing on.
 
 Artifact byte counts for the metrics registry travel the same hooks
 without the log: while a registry records (a run with ``ctx.metrics``),
 the workspace hands out :class:`AuditedPath` objects too, and an access
-under no audited root is only counted, never written down.
+outside an audited root is only counted, never written down.
 
 Attribution: :func:`unit_scope` tags accesses with the pipeline process
 (``P16``) and the concurrency unit (a station, a trace, a temp-folder
@@ -41,11 +44,10 @@ from dataclasses import dataclass
 from pathlib import Path, PosixPath, WindowsPath
 from typing import Any, Callable, Iterator
 
-#: Marker directory (under the workspace root) that opts a run in.
-AUDIT_DIR = ".audit"
+from repro.core.recording import current
 
-#: Active audited roots: str(root) -> Path(root).
-_ACTIVE: dict[str, Path] = {}
+#: Directory (under the workspace root) holding an audited run's logs.
+AUDIT_DIR = ".audit"
 
 #: Open event-log writers keyed by (root, pid, thread id).
 _writers: dict[tuple[str, int, int], Any] = {}
@@ -70,22 +72,19 @@ def _live_scope() -> tuple[str, str] | None:
 
 
 def enable_auditing(root: Path | str) -> Path:
-    """Create the marker directory and activate auditing for ``root``."""
-    root = Path(root)
-    marker = root / AUDIT_DIR
-    marker.mkdir(parents=True, exist_ok=True)
-    _ACTIVE[str(root)] = root
-    return marker
+    """Create the log directory of an audited run under ``root``."""
+    log_dir = Path(root) / AUDIT_DIR
+    log_dir.mkdir(parents=True, exist_ok=True)
+    return log_dir
 
 
 def release_auditing(root: Path | str) -> None:
-    """Stop recording under ``root`` and close this process's logs for it.
+    """Close this process's logs for ``root``.
 
-    The marker directory and its logs stay on disk, so the run can be
+    The directory and its logs stay on disk, so the run can be
     cross-checked post hoc (``repro-lint --audit``).
     """
     key = str(Path(root))
-    _ACTIVE.pop(key, None)
     with _writers_lock:
         for wkey in [k for k in _writers if k[0] == key]:
             try:
@@ -94,17 +93,15 @@ def release_auditing(root: Path | str) -> None:
                 pass
 
 
-def maybe_activate(root: Path) -> bool:
-    """Activate auditing for ``root`` if its marker exists (Workspace init)."""
-    if (root / AUDIT_DIR).is_dir():
-        _ACTIVE[str(root)] = root
-        return True
-    return False
+def _audited_root() -> str | None:
+    """The bound run's root, when that run is audited."""
+    handle = current()
+    return handle.root if handle is not None and handle.audit else None
 
 
 def is_active(root: Path | str) -> bool:
-    """Whether accesses under ``root`` are currently recorded."""
-    return str(root) in _ACTIVE
+    """Whether accesses under ``root`` are recorded here and now."""
+    return _audited_root() == str(root)
 
 
 @contextmanager
@@ -198,7 +195,7 @@ def record(root: Path | str, rel_path: str, op: str, nbytes: int | None = None) 
     """Append one access event; under an unaudited ``root`` only count
     its bytes (a no-op unless a metrics registry records)."""
     key = str(root)
-    if key not in _ACTIVE:
+    if _audited_root() != key:
         _metrics_io(rel_path, op, nbytes or 0)
         return
     if rel_path.startswith(AUDIT_DIR):
@@ -221,7 +218,7 @@ def record(root: Path | str, rel_path: str, op: str, nbytes: int | None = None) 
         pass
 
 
-#: File (inside the marker directory) holding the executed barrier plan.
+#: File (inside the log directory) holding the executed barrier plan.
 PLAN_FILE = "plan.json"
 
 
@@ -234,7 +231,7 @@ def record_plan(root: Path | str, plan: dict) -> None:
     happens-before cross-check (:mod:`repro.analysis.graphlint`) orders
     recorded accesses by.
     """
-    if str(root) not in _ACTIVE:
+    if _audited_root() != str(root):
         return
     path = Path(root) / AUDIT_DIR / PLAN_FILE
     try:
@@ -288,35 +285,39 @@ class AuditedPath(_BASE):
     """A path whose opens/unlinks are recorded against its workspace.
 
     Derived paths (``parent``, ``/``, ``glob`` results) stay audited:
-    the owning root is recovered by prefix against the active-root
-    registry, so no per-instance state needs to survive ``pathlib``'s
-    internal reconstruction (or pickling into worker processes).  A
-    path under no audited root is a metrics-only path: its accesses
-    are counted by artifact class and not logged.
+    the owning root is the bound run handle's, matched by prefix, so no
+    per-instance state needs to survive ``pathlib``'s internal
+    reconstruction (or pickling into worker processes).  A path outside
+    an audited root is a metrics-only path: its accesses are counted by
+    artifact class and not logged.
     """
 
     __slots__ = ()
 
-    def _audit(self, op: str, nbytes: int | None = None) -> None:
+    def _relative(self) -> tuple[str, str] | None:
+        """``(root, workspace-relative path)`` under the audited root."""
+        root = _audited_root()
         text = str(self)
-        for root in _ACTIVE:
-            if text.startswith(root + os.sep):
-                record(root, text[len(root) + 1 :].replace(os.sep, "/"), op, nbytes=nbytes)
-                return
-        _metrics_io(self.name, op, nbytes or 0)
+        if root is None or not text.startswith(root + os.sep):
+            return None
+        return root, text[len(root) + 1 :].replace(os.sep, "/")
+
+    def _audit(self, op: str, nbytes: int | None = None) -> None:
+        audited = self._relative()
+        if audited is None:
+            _metrics_io(self.name, op, nbytes or 0)
+        else:
+            record(*audited, op, nbytes=nbytes)
 
     def _count_written(self, nbytes: int) -> None:
         """Metrics-only byte count for a write whose access was already
         counted when :meth:`open` ran inside ``write_text``/
         ``write_bytes``."""
-        text = str(self)
-        for root in _ACTIVE:
-            if text.startswith(root + os.sep):
-                rel = text[len(root) + 1 :].replace(os.sep, "/")
-                if not rel.startswith(AUDIT_DIR):
-                    _metrics_io(rel, "write", nbytes, count_access=False)
-                return
-        _metrics_io(self.name, "write", nbytes, count_access=False)
+        audited = self._relative()
+        if audited is None:
+            _metrics_io(self.name, "write", nbytes, count_access=False)
+        elif not audited[1].startswith(AUDIT_DIR):
+            _metrics_io(audited[1], "write", nbytes, count_access=False)
 
     def _read_size(self) -> int | None:
         try:

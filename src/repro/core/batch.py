@@ -285,15 +285,20 @@ class BatchRunner:
         self, ctx: RunContext, event: EventSpec, status: str, quarantined: int
     ) -> None:
         """Close the event's log with a batch-layer summary (no-op when
-        the run was not event-logged)."""
+        the run was not event-logged).  The run's handle is unbound by
+        now, so an events-only handle is bound for this one emit."""
         if not self.events:
             return
-        from repro.observability.events import emit
+        from repro.core.recording import RunHandle, bound
+        from repro.observability.events import emit, release_events
 
-        emit(
-            ctx.workspace.root, "batch_event_finished",
-            event_id=event.event_id, status=status, quarantined=quarantined,
-        )
+        root = ctx.workspace.root
+        with bound(RunHandle(str(root), events=True)):
+            emit(
+                root, "batch_event_finished",
+                event_id=event.event_id, status=status, quarantined=quarantined,
+            )
+        release_events(root)
 
     @staticmethod
     def _failed_event(event: EventSpec, exc: PipelineError) -> EventSummary:

@@ -27,7 +27,7 @@ def stations_from_list(workspace: Workspace) -> list[str]:
     from repro.resilience.runtime import surviving_stations
 
     names = read_filelist(workspace.work(V1_LIST), process="P3")
-    return surviving_stations(workspace, [name[: -len(".v1")] for name in names])
+    return surviving_stations([name[: -len(".v1")] for name in names])
 
 
 @process_unit("P3", unit_arg=1)
@@ -39,10 +39,10 @@ def separate_station(workspace_root: str, station: str, process: str = "P3") -> 
     a fault targeting ``P3:<station>`` must not fire again there (it
     would skew retry counts on the one implementation that runs P12).
     """
-    from repro.resilience.runtime import runtime_for
+    from repro.resilience.runtime import current_runtime
 
     workspace = Workspace(workspace_root)
-    runtime = runtime_for(workspace.root)
+    runtime = current_runtime()
     if runtime is not None:
         # The injected worker-crash point: inside the loop unit, so the
         # serial retry wrapper and the pool isolation see the same fault.
@@ -56,9 +56,9 @@ def separate_station(workspace_root: str, station: str, process: str = "P3") -> 
 @process_unit("P3")
 def run_p03(ctx: RunContext, process: str = "P3") -> None:
     """Separate every station's record, sequentially."""
-    from repro.resilience.runtime import active_runtime
+    from repro.resilience.runtime import current_runtime
 
-    runtime = active_runtime(ctx.workspace.root)
+    runtime = current_runtime()
     if runtime is None:
         for station in stations_from_list(ctx.workspace):
             separate_station(str(ctx.workspace.root), station, process)

@@ -22,10 +22,10 @@ def run_correction_sequential(
     ctx: RunContext, params_name: str, maxvals_name: str, process: str = "P4"
 ) -> None:
     """Shared body of P4 and P13: run the tool in-place, merge maxima."""
-    from repro.resilience.runtime import active_runtime
+    from repro.resilience.runtime import current_runtime
 
     work = ctx.workspace.work_dir
-    runtime = active_runtime(ctx.workspace.root)
+    runtime = current_runtime()
     require(ctx.workspace.work(params_name), "P4/P13")
     write_tool_config(work, params=params_name, process=process)
     if runtime is not None:

@@ -23,7 +23,7 @@ def run_p06(ctx: RunContext) -> None:
     from repro.resilience.runtime import surviving_entries
 
     meta = read_metadata(ctx.workspace.work(ACCGRAPH_META), process="P6")
-    for entry in surviving_entries(ctx.workspace, meta.entries):
+    for entry in surviving_entries(meta.entries):
         station, *v2_names = entry
         records = {}
         for name in v2_names:

@@ -18,10 +18,10 @@ from repro.core.tools import TOOL_CONFIG, fourier_tool, write_tool_config
 @process_unit("P7")
 def run_p07(ctx: RunContext) -> None:
     """Fourier-transform every corrected component, sequentially."""
-    from repro.resilience.runtime import active_runtime
+    from repro.resilience.runtime import current_runtime
 
     work = ctx.workspace.work_dir
-    runtime = active_runtime(ctx.workspace.root)
+    runtime = current_runtime()
     require(ctx.workspace.work(FOURIER_META), "P7")
     write_tool_config(
         work, taper=ctx.taper_fraction, maxperiod=ctx.fourier_max_period, process="P7"

@@ -21,7 +21,7 @@ def run_p09(ctx: RunContext) -> None:
     from repro.resilience.runtime import surviving_entries
 
     meta = read_metadata(ctx.workspace.work(FOURIERGRAPH_META), process="P9")
-    for entry in surviving_entries(ctx.workspace, meta.entries):
+    for entry in surviving_entries(meta.entries):
         station, *f_names = entry
         records = {}
         for name in f_names:

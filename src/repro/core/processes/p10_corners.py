@@ -75,7 +75,7 @@ def run_p10(
     base = read_filter_params(ctx.workspace.work(FILTER_PARAMS), process="P10").default
     params = FilterParams(default=base)
     root = str(ctx.workspace.root)
-    for entry in surviving_entries(ctx.workspace, meta.entries):
+    for entry in surviving_entries(meta.entries):
         _station, *f_names = entry
         if parallel_inner:
             # functools.partial keeps the body picklable for the

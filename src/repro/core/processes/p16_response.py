@@ -46,7 +46,7 @@ def trace_pairs(ctx: RunContext) -> list[tuple[str, str]]:
 
     meta = read_metadata(ctx.workspace.work(RESPONSE_META), process="P16")
     pairs: list[tuple[str, str]] = []
-    for entry in surviving_entries(ctx.workspace, meta.entries):
+    for entry in surviving_entries(meta.entries):
         _station, *names = entry
         v2_names, r_names = names[:3], names[3:]
         pairs.extend(zip(v2_names, r_names))

@@ -21,7 +21,7 @@ def run_p18(ctx: RunContext) -> None:
     from repro.resilience.runtime import surviving_entries
 
     meta = read_metadata(ctx.workspace.work(RESPONSEGRAPH_META), process="P18")
-    for entry in surviving_entries(ctx.workspace, meta.entries):
+    for entry in surviving_entries(meta.entries):
         station, *r_names = entry
         records = {}
         for name in r_names:

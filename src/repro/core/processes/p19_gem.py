@@ -90,7 +90,7 @@ def interleaved_files(ctx: RunContext) -> list[tuple[str, bool]]:
 
     meta = read_metadata(ctx.workspace.work(RESPONSE_META), process="P19")
     out: list[tuple[str, bool]] = []
-    for entry in surviving_entries(ctx.workspace, meta.entries):
+    for entry in surviving_entries(meta.entries):
         _station, *names = entry
         v2_names, r_names = names[:3], names[3:]
         for v2_name, r_name in zip(v2_names, r_names):

@@ -9,8 +9,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core import auditing
+from repro.core import auditing, recording
 from repro.core.context import RunContext
+from repro.core.recording import RunHandle
 from repro.observability.tracer import Trace, maybe_span
 
 logger = logging.getLogger("repro.core")
@@ -133,24 +134,32 @@ class PipelineImplementation(ABC):
         """Run the pipeline, appending timings to ``result``."""
 
     def run(self, ctx: RunContext) -> PipelineResult:
-        """Run end-to-end against the context's workspace."""
+        """Run end-to-end against the context's workspace.
+
+        The run gets one :class:`~repro.core.recording.RunHandle`, built
+        from the context's ``audit``, ``events`` and ``resilience``
+        fields: bound on this thread until the run returns or raises,
+        and carried by the worker window to every chunk and task.
+        """
+        root = ctx.workspace.root
         if ctx.audit:
-            from repro.core.artifacts import Workspace
-
-            auditing.enable_auditing(ctx.workspace.root)
-            # Rebuild so the workspace picks up the fresh marker (its
-            # audited flag is fixed at construction time).
-            ctx.workspace = Workspace(ctx.workspace.root)
+            auditing.enable_auditing(root)
         try:
-            return self._run(ctx)
-        finally:
-            # The .audit/ log stays on disk for ``repro-lint --audit``;
-            # later accesses in this process no longer scan the root.
-            auditing.release_auditing(ctx.workspace.root)
+            ctx.workspace.create()
+            ctx.workspace.require_input()
+            runtime = None
+            if ctx.resilience is not None:
+                from repro.resilience.runtime import enable_resilience
 
-    def _run(self, ctx: RunContext) -> PipelineResult:
-        ctx.workspace.create()
-        ctx.workspace.require_input()
+                runtime = enable_resilience(root, ctx.resilience)
+            handle = RunHandle(str(root), ctx.audit, ctx.events, runtime)
+            with recording.bound(handle):
+                return self._run(ctx, handle)
+        finally:
+            # The .audit/ log stays on disk for ``repro-lint --audit``.
+            auditing.release_auditing(root)
+
+    def _run(self, ctx: RunContext, handle: RunHandle) -> PipelineResult:
         stations = ctx.stations()
         logger.info(
             "%s: starting run on %s (%d stations)",
@@ -159,11 +168,7 @@ class PipelineImplementation(ABC):
             len(stations),
         )
         result = PipelineResult(implementation=self.name, total_s=0.0)
-        runtime = None
-        if ctx.resilience is not None:
-            from repro.resilience.runtime import enable_resilience
-
-            runtime = enable_resilience(ctx.workspace.root, ctx.resilience)
+        runtime = handle.faults
         tracer = ctx.tracer
         profiling = nullcontext()
         if ctx.profiler is not None:
@@ -179,10 +184,8 @@ class PipelineImplementation(ABC):
         if ctx.events:
             from repro.observability import events as run_events
 
-            # The event log is live from here: the marker directory is
-            # what pool workers (and a concurrently attached repro-top)
-            # discover on disk, and install_run is what lets the
-            # parallel runtime build worker emission channels.
+            # The event log is live from here; a concurrently attached
+            # repro-top tails its directory.
             run_events.enable_events(ctx.workspace.root)
             run_events.emit(
                 ctx.workspace.root, "run_started",
@@ -193,8 +196,7 @@ class PipelineImplementation(ABC):
                 workers=ctx.parallel.workers,
                 backend=ctx.parallel.backend.value,
             )
-            run_events.install_run(ctx.workspace.root)
-            heartbeat = run_events.Heartbeat(ctx.workspace.root)
+            heartbeat = run_events.Heartbeat(handle)
             heartbeat.start()
         try:
             with profiling, maybe_span(
@@ -242,7 +244,6 @@ class PipelineImplementation(ABC):
                     total_s=result.total_s, status=status,
                     quarantined=len(result.quarantine),
                 )
-                run_events.uninstall_run(ctx.workspace.root)
                 # The log stays on disk: repro-top may still be tailing
                 # it, and the HTML report/ledger read it post-hoc.
                 run_events.release_events(ctx.workspace.root)

@@ -88,9 +88,9 @@ def run_staged_instance(workspace_root: str, instance: StagedInstance) -> list:
     work = workspace.work_dir
     folder = workspace.tmp_dir / instance.folder_name
     process = STAGE_PROCESS.get(instance.stage.upper(), f"stage-{instance.stage}")
-    from repro.resilience.runtime import runtime_for
+    from repro.resilience.runtime import current_runtime
 
-    runtime = runtime_for(workspace.root)
+    runtime = current_runtime()
     reports: list = []
     with unit_scope(process, instance.folder_name):
         try:

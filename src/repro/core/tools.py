@@ -31,6 +31,7 @@ from repro.formats.params import read_filter_params
 from repro.formats.fourier import FourierRecord, write_fourier
 from repro.formats.v1 import ComponentRecord, read_component_v1
 from repro.formats.v2 import CorrectedRecord, read_v2, write_v2
+from repro.resilience.runtime import current_runtime
 from repro.spectra.fourier import motion_fourier_spectra
 
 TOOL_CONFIG = "tool.cfg"
@@ -101,14 +102,6 @@ def max_line(record: CorrectedRecord) -> str:
     )
 
 
-def _resilience(folder: Path):
-    """The resilience runtime governing ``folder``, if any (lazy import
-    so the tools stay usable without the resilience package active)."""
-    from repro.resilience.runtime import runtime_for
-
-    return runtime_for(folder)
-
-
 def correction_tool(folder: Path | str) -> list[str]:
     """The legacy correction program.
 
@@ -133,7 +126,7 @@ def correction_tool(folder: Path | str) -> list[str]:
     if not params_path.exists():
         raise PipelineError(f"correction tool: no parameter file {params_path}")
     params = read_filter_params(params_path)
-    runtime = _resilience(folder)
+    runtime = current_runtime()
     processed: list[str] = []
     for v1_path in sorted(folder.glob("*.v1")):
         stem = v1_path.stem
@@ -173,7 +166,7 @@ def fourier_tool(folder: Path | str) -> list[str]:
         max_period = float(settings.get("MAXPERIOD", "20.0"))
     except ValueError as exc:
         raise PipelineError(f"fourier tool: unparseable {TOOL_CONFIG} setting: {exc}")
-    runtime = _resilience(folder)
+    runtime = current_runtime()
     processed: list[str] = []
     for v2_path in sorted(folder.glob("*.v2")):
         stem = v2_path.stem

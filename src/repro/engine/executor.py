@@ -69,18 +69,12 @@ from repro.observability.events import stage_scope
 from repro.observability.tracer import maybe_span
 from repro.parallel.native import single_threaded_blas
 from repro.parallel.omp import TaskGroup, parallel_for, shared_executor
+from repro.resilience.runtime import current_runtime
 
 logger = logging.getLogger("repro.engine")
 # Per-process completion lines stay on the core logger: operators (and
 # the logging tests) filter on "repro.core" regardless of executor.
 core_logger = logging.getLogger("repro.core")
-
-
-def _resilience(ctx: RunContext):
-    """The resilience runtime active for this run's workspace, if any."""
-    from repro.resilience.runtime import active_runtime
-
-    return active_runtime(ctx.workspace.root)
 
 
 def _timed(pid: int, ctx: RunContext, **kwargs: object) -> tuple[int, float]:
@@ -377,7 +371,7 @@ class Engine:
         ), unit_scope(f"P{pid}"):
             if pid == 3:
                 stations = stations_from_list(ctx.workspace)
-                runtime = _resilience(ctx)
+                runtime = current_runtime()
                 isolate = runtime.isolation("P3") if runtime is not None else None
                 parallel_for(
                     partial(separate_station, str(ctx.workspace.root)),
@@ -468,7 +462,7 @@ class Engine:
                 span="staged_instance",
                 metrics=ctx.metrics,
             )
-            runtime = _resilience(ctx)
+            runtime = current_runtime()
             if runtime is not None:
                 reports = [r for value in values if value for r in value]
                 if reports:

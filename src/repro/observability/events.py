@@ -8,14 +8,17 @@ fault events from the resilience runtime, and periodic resource
 heartbeats.  ``repro-top`` tails the stream to render live progress and
 an ETA; the HTML run report and the run ledger read it post-hoc.
 
-The write path mirrors :mod:`repro.core.auditing` exactly: a
-``<root>/.events/`` marker directory opts a workspace in, every writer
-appends JSON lines to its own per-(pid, thread) shard file
-(line-buffered, so a tail sees events within one write of real time),
-and pool workers need no coordination — the emission channel handed to
-the worker window of :mod:`repro.parallel.omp` carries the workspace
-root, and the first emit in a fresh worker re-discovers the marker on
-disk.  Shards are merged on read with a deterministic total order:
+The write path mirrors :mod:`repro.core.auditing` exactly: a run with
+``ctx.events`` binds a :class:`~repro.core.recording.RunHandle` that
+logs events for its workspace root, and while it is bound every writer
+appends JSON lines to its own per-(pid, thread) shard file in
+``<root>/.events/`` (line-buffered, so a tail sees events within one
+write of real time).  Pool workers learn that the run is event-logged
+only from the handle their worker window binds, on every backend and
+start method; the window's emission :func:`channel` adds the enclosing
+stage and span.  The ``.events/`` directory is an output: building a
+``Workspace`` over it switches nothing on.  Shards are merged on read
+with a deterministic total order:
 ``(t, pid, tid, seq)``, where ``seq`` is each writer's own monotonic
 counter — so two reads of a finished log always agree, and ties cannot
 reorder one writer's events.
@@ -37,7 +40,9 @@ from contextvars import ContextVar
 from pathlib import Path
 from typing import Any, Iterator
 
-#: Marker directory (under the workspace root) that opts a run in.
+from repro.core.recording import RunHandle, bound, current
+
+#: Directory (under the workspace root) holding a run's event log.
 EVENTS_DIR = ".events"
 
 #: Version tag carried by every ``run_started`` event.
@@ -46,20 +51,11 @@ SCHEMA = "repro-events/1"
 #: Schemas :func:`validate_events` accepts.
 KNOWN_SCHEMAS = ("repro-events/1",)
 
-#: Active event-logged roots: str(root) -> Path(root).
-_ACTIVE: dict[str, Path] = {}
-
 #: Open shard writers keyed by (root, pid, thread id).
 _writers: dict[tuple[str, int, int], Any] = {}
 #: Per-writer monotonic sequence numbers (same key as ``_writers``).
 _seqs: dict[tuple[str, int, int], int] = {}
 _writers_lock = threading.Lock()
-
-#: The workspace root of the run currently executing on this process'
-#: driver, with its origin pid — :func:`channel` reads it so the
-#: parallel runtime can build worker emission channels without any
-#: argument plumbing.  The pid guards against fork inheritance.
-_RUN_ROOT: tuple[str, int] | None = None
 
 #: The stage label enclosing the current driver code path (set by the
 #: engine around each region), with its origin pid.
@@ -91,61 +87,51 @@ REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
 
 
 def enable_events(root: Path | str) -> Path:
-    """Create the marker directory and activate emission for ``root``.
+    """Create the event-log directory of a run under ``root``.
 
     Shards of a previous run in the same workspace are removed first:
     one event log describes one run.
     """
     root = Path(root)
-    marker = root / EVENTS_DIR
-    marker.mkdir(parents=True, exist_ok=True)
+    log_dir = root / EVENTS_DIR
+    log_dir.mkdir(parents=True, exist_ok=True)
     _close_writers(str(root))
     with _writers_lock:
         for skey in [k for k in _seqs if k[0] == str(root)]:
             _seqs.pop(skey, None)
-    for stale in marker.glob("events-*.jsonl"):
+    for stale in log_dir.glob("events-*.jsonl"):
         try:
             stale.unlink()
         except OSError:  # pragma: no cover - cleanup must never fail a run
             pass
-    _ACTIVE[str(root)] = root
-    return marker
+    return log_dir
 
 
 def release_events(root: Path | str) -> None:
-    """Stop emitting for ``root`` but keep the log on disk.
+    """Close this process's shards for ``root``; the log stays on disk.
 
-    The marker directory (and its shards) stay: ``repro-top`` may still
-    be attached and the report/ledger read the finished log.
+    ``repro-top`` may still be attached and the report/ledger read the
+    finished log.
     """
-    key = str(Path(root))
-    _ACTIVE.pop(key, None)
-    _close_writers(key)
+    _close_writers(str(Path(root)))
 
 
 def clear_events(root: Path | str) -> None:
-    """Deactivate and remove the marker directory and every shard."""
+    """Close the shards and remove the log directory."""
     root = Path(root)
     release_events(root)
     shutil.rmtree(root / EVENTS_DIR, ignore_errors=True)
 
 
-def maybe_activate(root: Path) -> bool:
-    """Activate emission for ``root`` if its marker exists.
-
-    Called from ``Workspace.__init__`` (like the auditing hook), so
-    pool workers that rebuild ``Workspace(root)`` re-discover an
-    event-logged run without argument plumbing.
-    """
-    if (root / EVENTS_DIR).is_dir():
-        _ACTIVE[str(root)] = root
-        return True
-    return False
+def _logged_root() -> str | None:
+    """The bound run's root, when that run logs events."""
+    handle = current()
+    return handle.root if handle is not None and handle.events else None
 
 
 def is_active(root: Path | str) -> bool:
-    """Whether events under ``root`` are currently emitted."""
-    return str(root) in _ACTIVE
+    """Whether events under ``root`` are emitted here and now."""
+    return _logged_root() == str(root)
 
 
 def _close_writers(key: str) -> None:
@@ -160,27 +146,7 @@ def _close_writers(key: str) -> None:
                 pass
 
 
-# -- the driver-run registry and stage scope -----------------------------
-
-
-def install_run(root: Path | str) -> None:
-    """Mark ``root`` as the run executing on this driver (pid-guarded)."""
-    global _RUN_ROOT
-    _RUN_ROOT = (str(root), os.getpid())
-
-
-def uninstall_run(root: Path | str) -> None:
-    """Clear the driver-run registration, if it is still ours."""
-    global _RUN_ROOT
-    if _RUN_ROOT is not None and _RUN_ROOT[0] == str(root):
-        _RUN_ROOT = None
-
-
-def installed_run() -> str | None:
-    """The executing run's root (this process only), or ``None``."""
-    if _RUN_ROOT is None or _RUN_ROOT[1] != os.getpid():
-        return None
-    return _RUN_ROOT[0]
+# -- the stage scope -----------------------------------------------------
 
 
 @contextmanager
@@ -209,14 +175,13 @@ def current_stage() -> str | None:
 def channel(span: str) -> tuple[str, str | None, str] | None:
     """A picklable ``(root, stage, span)`` emission channel, or ``None``.
 
-    ``None`` unless an event-logged run is executing on this process —
-    the single check that keeps the disabled path free.  The tuple rides
-    in the worker window of every chunk and task, crossing into pool
-    workers, whose first :func:`emit_channel` call re-activates the
-    root from its on-disk marker.
+    ``None`` unless the bound run logs events — the single check that
+    keeps the disabled path free.  The tuple rides in the worker window
+    of every chunk and task, beside the run handle that lets the
+    worker's :func:`emit_channel` calls write.
     """
-    root = installed_run()
-    if root is None or root not in _ACTIVE:
+    root = _logged_root()
+    if root is None:
         return None
     return (root, current_stage(), span)
 
@@ -240,17 +205,11 @@ def _writer_entry(key: str):
 
 
 def emit(root: Path | str, type_: str, **payload: Any) -> None:
-    """Append one event to this writer's shard (no-op unless active).
-
-    A root not in the in-process registry is probed once on disk, so a
-    fresh pool worker's first emission self-activates — the same
-    rediscovery the audit log gets from ``Workspace.__init__``.
-    """
+    """Append one event to this writer's shard (no-op unless the bound
+    run logs events under ``root``)."""
     key = str(root)
-    if key not in _ACTIVE:
-        if not (Path(root) / EVENTS_DIR).is_dir():
-            return
-        _ACTIVE[key] = Path(root)
+    if _logged_root() != key:
+        return
     event: dict[str, Any] = {
         "type": type_,
         "t": time.time(),
@@ -287,12 +246,13 @@ class Heartbeat(threading.Thread):
     :mod:`repro.observability.resources`; on platforms without /proc
     the heartbeat emits RSS-only events via ``resource.getrusage``
     fallbacks there, or nothing when even that fails — a heartbeat must
-    never fail a run.
+    never fail a run.  It emits under the run ``handle`` it is given: a
+    thread starts with no handle bound.
     """
 
-    def __init__(self, root: Path | str, interval_s: float = 0.5) -> None:
+    def __init__(self, handle: RunHandle, interval_s: float = 0.5) -> None:
         super().__init__(name="repro-events-heartbeat", daemon=True)
-        self.root = Path(root)
+        self.handle = handle
         self.interval_s = max(0.05, float(interval_s))
         # Not named _stop: Thread has an internal method of that name.
         self._halt = threading.Event()
@@ -324,11 +284,12 @@ class Heartbeat(threading.Thread):
             return None
 
     def run(self) -> None:  # pragma: no cover - exercised via integration
-        while not self._halt.is_set():
-            payload = self._sample()
-            if payload is not None:
-                emit(self.root, "heartbeat", **payload)
-            self._halt.wait(self.interval_s)
+        with bound(self.handle):
+            while not self._halt.is_set():
+                payload = self._sample()
+                if payload is not None:
+                    emit(self.handle.root, "heartbeat", **payload)
+                self._halt.wait(self.interval_s)
 
     def stop(self) -> None:
         """Stop the thread (joining up to one interval)."""

@@ -5,8 +5,9 @@ Two halves:
 1. **Real execution** — OpenMP-shaped primitives (:func:`parallel_for`
    with static/dynamic/guided schedules, :class:`TaskGroup` with
    task/taskwait semantics) over pluggable backends: ``serial``,
-   ``thread`` (GIL-bound but fine for I/O-heavy stages) and
-   ``process`` (GIL-free, used for FLOPS-heavy stages).  The worker
+   ``thread`` (overlaps what releases the GIL: I/O, NumPy kernels,
+   stage IX's compiled filter) and ``process`` (overlaps pure-Python
+   stages too).  The worker
    pool is a run's only parallelism: :mod:`repro.parallel.native`
    pins every loaded OpenBLAS (numpy's; scipy's only if the caller
    loaded it) to one thread for the run.
@@ -23,7 +24,6 @@ Two halves:
 from repro.parallel.backend import Backend, available_backends, resolve_workers
 from repro.parallel.chunks import Schedule, chunk_indices
 from repro.parallel.omp import TaskGroup, parallel_for
-from repro.parallel.timing import StageTiming, TaskRecord, Timer
 from repro.parallel.simulate import (
     SimTask,
     SimulatedMachine,
@@ -40,9 +40,6 @@ __all__ = [
     "chunk_indices",
     "TaskGroup",
     "parallel_for",
-    "StageTiming",
-    "TaskRecord",
-    "Timer",
     "SimTask",
     "SimulatedMachine",
     "SimulationResult",

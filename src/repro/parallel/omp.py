@@ -7,11 +7,11 @@ schedule policies of :mod:`repro.parallel.chunks`.  ``TaskGroup`` is
 inside the ``with`` block run concurrently and the block exit is the
 taskwait barrier.
 
-Backend notes (GIL): the ``thread`` backend suits the pipeline's
-I/O-heavy and plotting stages (file reads/writes release the GIL); the
-``process`` backend suits FLOPS-heavy stages and requires picklable
-functions and arguments — the pipeline's process bodies are module-
-level functions operating on paths, which pickle fine.
+Backend notes (GIL): the ``thread`` backend overlaps bodies that
+release the GIL (file I/O, NumPy kernels, stage IX's compiled filter);
+the ``process`` backend overlaps pure-Python stages too and requires
+picklable functions and arguments — the pipeline's process bodies are
+module-level functions operating on paths, which pickle fine.
 
 Every chunk and every task, on every backend, runs inside one worker
 window (:func:`_windowed`): the driver hands it a picklable
@@ -20,6 +20,12 @@ thread, pool thread or pool process), and the window returns the
 body's value with an *envelope* — the body's self-measured timing plus
 its drained metrics and profile shards — which the driver ingests
 through one fold (:class:`_Fold`).
+
+The window also carries the driver's run handle
+(:mod:`repro.core.recording`) and binds it around the body.  That is
+the only way a worker learns what the run records — the access audit,
+the event log, the fault plan — so a pool thread or pool process sees
+exactly the driver's handle on every start method.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
+from repro.core.recording import RunHandle, bound, current
 from repro.observability.events import channel, emit_channel
 from repro.observability.metrics import (
     MetricsRegistry,
@@ -109,7 +116,8 @@ class _Window(NamedTuple):
     times to the tracer's clock; ``collect`` opens a metrics shard;
     ``profile`` is the ``(hz, labels)`` profile channel and ``events``
     the :func:`~repro.observability.events.channel` tuple, each
-    ``None`` when that telemetry is off.
+    ``None`` when that telemetry is off; ``handle`` is the driver's run
+    handle (``None`` outside a run).
     """
 
     kind: str
@@ -117,6 +125,7 @@ class _Window(NamedTuple):
     collect: bool
     profile: tuple | None
     events: tuple | None
+    handle: RunHandle | None
 
 
 def _open_window(
@@ -129,7 +138,7 @@ def _open_window(
     the span name and backend — are computed once here, so samples
     taken in pool processes come home fully attributed.  The events
     channel carries the enclosing stage label the same way.  Both are
-    one pid-guarded global read when their telemetry is off.
+    one pid-guarded read when their telemetry is off.
     """
     profile = None
     profiler = installed_profiler()
@@ -139,7 +148,7 @@ def _open_window(
         labels["backend"] = backend.value
         profile = (profiler.hz, labels)
     epoch = tracer.epoch if tracer is not None else time.time()
-    return _Window(kind, epoch, metrics is not None, profile, channel(name))
+    return _Window(kind, epoch, metrics is not None, profile, channel(name), current())
 
 
 def _windowed(
@@ -157,36 +166,37 @@ def _windowed(
     the process backend.  A body that raises propagates unchanged,
     after both shards are drained.
     """
-    token = begin_worker_profile(*window.profile) if window.profile is not None else None
-    if window.collect:
-        begin_worker_window()
-    start_wall = time.time()
-    t0 = time.perf_counter()
-    shard = profile = None
-    try:
-        value = body(*args, **kwargs)
-    finally:
+    with bound(window.handle):
+        token = begin_worker_profile(*window.profile) if window.profile is not None else None
         if window.collect:
-            shard = drain_worker_shard()
-        if token is not None:
-            profile = drain_worker_profile(token)
-    envelope = {
-        "start_s": start_wall - window.epoch,
-        "duration_s": time.perf_counter() - t0,
-        "worker": worker_label(),
-    }
-    if shard:
-        envelope["metrics"] = shard
-    if profile:
-        envelope["profile"] = profile
-    if window.events is not None:
-        if window.kind == "chunk":
-            emit_channel(window.events, "unit_finished", count=_executed(value),
-                         duration_s=envelope["duration_s"], worker=envelope["worker"])
-        else:
-            emit_channel(window.events, "task_finished",
-                         duration_s=envelope["duration_s"], worker=envelope["worker"])
-    return value, envelope
+            begin_worker_window()
+        start_wall = time.time()
+        t0 = time.perf_counter()
+        shard = profile = None
+        try:
+            value = body(*args, **kwargs)
+        finally:
+            if window.collect:
+                shard = drain_worker_shard()
+            if token is not None:
+                profile = drain_worker_profile(token)
+        envelope = {
+            "start_s": start_wall - window.epoch,
+            "duration_s": time.perf_counter() - t0,
+            "worker": worker_label(),
+        }
+        if shard:
+            envelope["metrics"] = shard
+        if profile:
+            envelope["profile"] = profile
+        if window.events is not None:
+            if window.kind == "chunk":
+                emit_channel(window.events, "unit_finished", count=_executed(value),
+                             duration_s=envelope["duration_s"], worker=envelope["worker"])
+            else:
+                emit_channel(window.events, "task_finished",
+                             duration_s=envelope["duration_s"], worker=envelope["worker"])
+        return value, envelope
 
 
 @dataclass

@@ -14,9 +14,9 @@ abort the whole event batch.  This package makes failure a first-class,
 - :mod:`repro.resilience.quarantine` — classified
   :class:`FailureReport`/:class:`QuarantineSet` so one bad station
   degrades the bulletin instead of suppressing it;
-- :mod:`repro.resilience.runtime` — the marker-directory activation
-  machinery (mirroring :mod:`repro.core.auditing`) that makes the same
-  plan visible to driver threads and pool workers alike;
+- :mod:`repro.resilience.runtime` — the run's runtime, carried by its
+  run handle (:mod:`repro.core.recording`) to driver threads and pool
+  workers alike, so the same plan governs them all;
 - :mod:`repro.resilience.chaos` — the seeded soak behind ``repro-chaos``
   asserting convergence across implementations and backends.
 
@@ -33,10 +33,9 @@ from repro.resilience.quarantine import FailureReport, QuarantineSet
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.runtime import (
     ResilienceRuntime,
-    active_runtime,
+    current_runtime,
     disable_resilience,
     enable_resilience,
-    runtime_for,
 )
 
 __all__ = [
@@ -47,8 +46,7 @@ __all__ = [
     "QuarantineSet",
     "RetryPolicy",
     "ResilienceRuntime",
-    "active_runtime",
+    "current_runtime",
     "disable_resilience",
     "enable_resilience",
-    "runtime_for",
 ]

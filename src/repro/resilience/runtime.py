@@ -1,12 +1,12 @@
 """The resilience runtime: activation, retry scopes, quarantine folding.
 
-Activation mirrors :mod:`repro.core.auditing`: enabling resilience for
-a workspace writes a ``<root>/resilience/plan.json`` marker holding the
-fault plan and retry policy.  Driver threads find the runtime in the
-in-process registry; pool workers — which rebuild paths from strings —
-discover the marker on disk via :func:`runtime_for` and load their own
-copy, so the same plan governs the serial, thread and process backends
-without any argument plumbing.
+A run with a fault plan owns one :class:`ResilienceRuntime`, carried
+as the ``faults`` of its :class:`~repro.core.recording.RunHandle`.
+:func:`current_runtime` is the one lookup: on the driver and its pool
+threads it returns the owning runtime; in a pool process, the copy the
+worker window unpickled, which holds the plan and nothing else.  So
+the same plan governs the serial, thread and process backends, on every
+start method, and a worker learns it only from its window.
 
 Authority is split to stay deterministic:
 
@@ -14,17 +14,16 @@ Authority is split to stay deterministic:
   back through return values (or the thread-local pending list the
   tool emulations fill).  They never write shared state.
 - *The driver* folds reports into the :class:`QuarantineSet`, purges
-  the quarantined station's artifacts, persists ``quarantine.json``,
-  and filters quarantined records out of every later work list.
+  the quarantined station's artifacts, persists
+  ``<root>/resilience/quarantine.json``, and filters quarantined
+  records out of every later work list.
 
 Work lists are not only built on the driver: a whole-process task
-(P9, P15, P18, ...) on the run's process pool builds its own, in a
-worker forked when the run began.  That worker's in-memory quarantine
-is its fork-time copy, stale once the driver quarantines a station
-later in the run, and a stale list names a purged station whose
-artifacts are gone.  So :func:`surviving_stations` and
-:func:`surviving_entries` read a worker's quarantine from the
-persisted ``quarantine.json`` (:meth:`ResilienceRuntime.live_quarantine`).
+(P9, P15, P18, ...) on the run's process pool builds its own.  Its
+runtime copy does not see the driver's set, so
+:func:`surviving_stations` and :func:`surviving_entries` read a
+worker's quarantine from the persisted ``quarantine.json``
+(:meth:`ResilienceRuntime.live_quarantine`).
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
+from repro.core.recording import current
 from repro.errors import FormatError, MissingArtifactError, TransientToolError
 from repro.resilience.faults import FaultPlan, WorkerCrashError, attempt_scope
 from repro.resilience.quarantine import (
@@ -47,20 +47,11 @@ from repro.resilience.quarantine import (
 from repro.resilience.retry import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.artifacts import Workspace
     from repro.observability.tracer import Tracer
 
-#: Marker directory (under the workspace root) that opts a run in.
+#: Directory (under the workspace root) holding the persisted quarantine.
 RESILIENCE_DIR = "resilience"
-PLAN_FILE = "plan.json"
 QUARANTINE_FILE = "quarantine.json"
-
-#: Active runtimes: str(root) -> runtime.
-_ACTIVE: dict[str, "ResilienceRuntime"] = {}
-
-#: How many ancestors :func:`runtime_for` climbs looking for a marker
-#: (a tool folder sits at most work/tmp/<instance> below the root).
-_WALK_UP = 6
 
 
 class ResilienceRuntime:
@@ -70,13 +61,18 @@ class ResilienceRuntime:
         self.root = Path(root)
         self.plan = plan
         self.quarantine = QuarantineSet()
-        #: Only the enabling process persists quarantine.json — pool
-        #: workers inherit this object across fork (or load their own
-        #: from the marker) and must not race on the file; they read it.
+        #: Only the enabling process persists quarantine.json — a pool
+        #: process works on an unpickled copy and must not race on the
+        #: file; it reads it.
         self._owner_pid = os.getpid() if owner else None
         #: Per-thread failure reports collected inside a tool run, so
         #: concurrent instances on the thread backend stay separate.
         self._pending = threading.local()
+
+    def __reduce__(self):
+        # A pool process gets the plan only: its copy is no owner, and
+        # reads the quarantine from quarantine.json.
+        return (ResilienceRuntime, (self.root, self.plan))
 
     @property
     def policy(self) -> RetryPolicy:
@@ -316,76 +312,50 @@ class ResilienceRuntime:
         return [r for r in records if r not in quarantine]
 
 
-# -- activation registry ------------------------------------------------
+# -- the run's runtime ----------------------------------------------------
 
 
 def enable_resilience(root: Path | str, plan: FaultPlan) -> ResilienceRuntime:
-    """Write the plan marker and activate the runtime for ``root``."""
-    root = Path(root)
-    runtime = ResilienceRuntime(root, plan, owner=True)
+    """The owning runtime of a run under ``root``, with a fresh quarantine."""
+    runtime = ResilienceRuntime(Path(root), plan, owner=True)
     runtime.marker_dir.mkdir(parents=True, exist_ok=True)
     (runtime.marker_dir / QUARANTINE_FILE).unlink(missing_ok=True)
-    plan.save(runtime.marker_dir / PLAN_FILE)
-    _ACTIVE[str(root)] = runtime
     return runtime
 
 
 def disable_resilience(root: Path | str) -> None:
-    """Deactivate the runtime for ``root`` and remove its marker."""
+    """Remove the run's quarantine directory under ``root``."""
     import shutil
 
-    root = Path(root)
-    _ACTIVE.pop(str(root), None)
-    shutil.rmtree(root / RESILIENCE_DIR, ignore_errors=True)
+    shutil.rmtree(Path(root) / RESILIENCE_DIR, ignore_errors=True)
 
 
-def active_runtime(root: Path | str) -> ResilienceRuntime | None:
-    """The in-process runtime for ``root``, if one is active."""
-    return _ACTIVE.get(str(Path(root)))
-
-
-def runtime_for(path: Path | str) -> ResilienceRuntime | None:
-    """The runtime governing ``path``, discovering markers on disk.
-
-    Checks the in-process registry by prefix first (drivers, and forked
-    pool workers that inherited it), then climbs a few ancestors
-    looking for a plan marker — the path a freshly spawned worker
-    takes.  With no runtime anywhere this costs a dict scan plus a
-    handful of ``stat`` calls, keeping the clean path effectively free.
-    """
-    text = str(path)
-    for root, runtime in _ACTIVE.items():
-        if text == root or text.startswith(root + os.sep):
-            return runtime
-    probe = Path(path)
-    for candidate in (probe, *probe.parents[:_WALK_UP]):
-        marker = candidate / RESILIENCE_DIR / PLAN_FILE
-        if marker.is_file():
-            runtime = ResilienceRuntime(candidate, FaultPlan.load(marker))
-            _ACTIVE[str(candidate)] = runtime
-            return runtime
-    return None
+def current_runtime() -> ResilienceRuntime | None:
+    """The bound run's resilience runtime; ``None`` without a fault plan
+    or outside a run."""
+    handle = current()
+    return None if handle is None else handle.faults
 
 
 # -- work-list filtering (every stage goes through these) ----------------
 
 
-def surviving_stations(workspace: "Workspace", stations: list[str]) -> list[str]:
-    """Drop quarantined stations from a work list (no-op when inactive)."""
-    runtime = active_runtime(workspace.root) or runtime_for(workspace.root)
+def surviving_stations(stations: list[str]) -> list[str]:
+    """Drop quarantined stations from a work list (no-op without a plan)."""
+    runtime = current_runtime()
     if runtime is None:
         return stations
     return runtime.surviving(stations)
 
 
-def surviving_entries(workspace: "Workspace", entries: list[tuple]) -> list[tuple]:
+def surviving_entries(entries: list[tuple]) -> list[tuple]:
     """Drop metadata entries whose station (first field) is quarantined.
 
     The staged plans write the metadata files *before* the tool stages
     run, so a station quarantined at stage IV can still appear in
     ``response.meta`` — every metadata-driven loop filters through here.
     """
-    runtime = active_runtime(workspace.root) or runtime_for(workspace.root)
+    runtime = current_runtime()
     if runtime is None:
         return entries
     quarantine = runtime.live_quarantine()

@@ -24,7 +24,8 @@ Three solvers are provided:
 
 ``frequency_domain``
     Transfer-function solution via FFT, used as an independent
-    cross-check in the test suite.
+    cross-check in the test suite.  Damped oscillators only: a config
+    selecting it with a damping ratio of 0 is rejected.
 
 The paper's oscillator grid (the "9000" in the complexity bound) is
 reproduced by :func:`paper_grid`: 1800 log-spaced periods from 0.02 s
@@ -126,6 +127,13 @@ class ResponseSpectrumConfig:
             raise SignalError(f"damping ratios must be in [0, 1), got {self.dampings}")
         if self.method not in ("nigam_jennings", "duhamel", "frequency_domain"):
             raise SignalError(f"unknown response-spectrum method {self.method!r}")
+        if self.method == "frequency_domain" and 0 in self.dampings:
+            # An undamped transfer function divides by zero at the
+            # oscillator frequency: the spectrum would hold NaN cells.
+            raise SignalError(
+                "the frequency_domain method needs damping ratios above 0, "
+                f"got {self.dampings}"
+            )
 
     @property
     def combos(self) -> int:

@@ -198,6 +198,7 @@ class TestStageInByLink:
     def test_file_fault_leaves_the_work_file_alone(self, prepared, kind):
         from repro.resilience import FaultPlan, FaultSpec
         from repro.resilience.retry import RetryPolicy
+        from repro.core.recording import RunHandle, bound
         from repro.resilience.runtime import disable_resilience, enable_resilience
 
         ctx = prepared
@@ -209,9 +210,12 @@ class TestStageInByLink:
             faults=(FaultSpec(kind=kind, target=f"{station}l.v1"),),
             policy=RetryPolicy(max_attempts=1, base_delay_s=0.0),
         )
-        enable_resilience(root, plan)
+        handle = RunHandle(str(root), faults=enable_resilience(root, plan))
         try:
-            reports = run_staged_instance(str(root), correction_instance("IV", 0, station, "filter.par"))
+            with bound(handle):
+                reports = run_staged_instance(
+                    str(root), correction_instance("IV", 0, station, "filter.par")
+                )
         finally:
             disable_resilience(root)
         # The staged copy was corrupted (the record failed its read),

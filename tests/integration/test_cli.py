@@ -173,8 +173,10 @@ class TestMalformedConfigIsAUsageError:
             ('{"parallel": {"num_workers": "two"}}', "parallel.num_workers must be a positive integer"),
             ('{"filter": {"f_pass_low": "low"}}', "ill-typed config value"),
             ('{"parallel": {"backend": "gpu"}}', "gpu"),
+            ('{"response": {"method": "frequency_domain"}}', "damping ratios above 0"),
         ],
-        ids=["unknown-key", "bad-json", "missing-file", "ill-typed-workers", "ill-typed-float", "unknown-backend"],
+        ids=["unknown-key", "bad-json", "missing-file", "ill-typed-workers", "ill-typed-float",
+             "unknown-backend", "undamped-frequency-domain"],
     )
     def test_exits_2_with_the_reason(self, tmp_path, capsys, content, message):
         config = tmp_path / "run.json"

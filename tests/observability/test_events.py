@@ -14,14 +14,17 @@ import pytest
 from repro.bench.harness import small_response_config
 from repro.bench.workloads import materialize, scaled_workload
 from repro.core.context import ParallelSettings, RunContext
+from repro.core.recording import RunHandle, bound
 from repro.engine.policy import pipeline_factory
 from repro.observability.events import (
     EVENTS_DIR,
     SCHEMA,
+    channel,
     clear_events,
     emit,
     emit_channel,
     enable_events,
+    is_active,
     read_events,
     read_events_file,
     release_events,
@@ -105,18 +108,26 @@ class TestPipelineRoundTrip:
         assert events  # still readable after release_events
 
 
+def _logging(root):
+    """Bind an event-logging run handle for ``root``."""
+    return bound(RunHandle(str(root), events=True))
+
+
 class TestShardMerging:
     def test_multi_writer_total_order(self, tmp_path):
         root = tmp_path / "ws"
         root.mkdir()
         enable_events(root)
-        emit(root, "run_started", schema=SCHEMA, implementation="x",
-             workspace=str(root), workers=4)
+        with _logging(root):
+            emit(root, "run_started", schema=SCHEMA, implementation="x",
+                 workspace=str(root), workers=4)
 
         def worker(n):
-            for i in range(20):
-                emit(root, "unit_finished", span=f"w{n}", count=1,
-                     duration_s=0.001, worker=f"w{n}")
+            # A thread starts with no handle: it binds its own.
+            with _logging(root):
+                for i in range(20):
+                    emit(root, "unit_finished", span=f"w{n}", count=1,
+                         duration_s=0.001, worker=f"w{n}")
 
         threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
         for t in threads:
@@ -137,10 +148,11 @@ class TestShardMerging:
         root = tmp_path / "ws"
         root.mkdir()
         enable_events(root)
-        emit(root, "run_started", schema=SCHEMA, implementation="x",
-             workspace=str(root), workers=1)
-        release_events(root)
-        emit(root, "batch_event_finished", event_id="EV", status="ok")
+        with _logging(root):
+            emit(root, "run_started", schema=SCHEMA, implementation="x",
+                 workspace=str(root), workers=1)
+            release_events(root)
+            emit(root, "batch_event_finished", event_id="EV", status="ok")
         events = read_events(root)
         assert validate_events(events) == []
         clear_events(root)
@@ -165,6 +177,24 @@ class TestShardMerging:
              workspace=str(root), workers=1)
         assert read_events(root) == []
         emit_channel(None, "unit_finished")  # disabled channel: no-op
+
+    def test_log_directory_alone_switches_nothing_on(self, tmp_path):
+        # A finished run's .events/ is an output: without a bound
+        # handle nothing is emitted into it.
+        root = tmp_path / "ws"
+        root.mkdir()
+        enable_events(root)
+        assert not is_active(root)
+        assert channel("span") is None
+        emit(root, "run_started", schema=SCHEMA, implementation="x",
+             workspace=str(root), workers=1)
+        assert read_events(root) == []
+        with _logging(root):
+            assert is_active(root)
+            assert not is_active(tmp_path / "other")
+            assert channel("span") == (str(root), None, "span")
+        with bound(RunHandle(str(root), audit=True)):
+            assert not is_active(root)
 
 
 class TestValidation:

@@ -18,7 +18,6 @@ from repro.observability.export import (
     write_chrome_trace,
 )
 from repro.observability.tracer import Tracer
-from repro.parallel.timing import stage_timings_from_trace
 from repro.plotting.gantt import plot_trace_gantt
 
 
@@ -174,14 +173,3 @@ class TestPipelineResultView:
     def test_requires_run_span(self) -> None:
         with pytest.raises(ReproError):
             pipeline_result_view(Tracer().trace())
-
-
-class TestStageTimings:
-    def test_work_spans_become_task_records(self, sample_trace) -> None:
-        timings = {t.stage: t for t in stage_timings_from_trace(sample_trace)}
-        assert set(timings) == {"IX", "X"}
-        assert [t.name for t in timings["IX"].tasks] == ["response_trace[0:2]"]
-        assert timings["IX"].task_total_s == pytest.approx(0.001)
-        assert [t.name for t in timings["X"].tasks] == ["P16 plot_spectra"]
-        stage9 = sample_trace.by_kind("stage")[0]
-        assert timings["IX"].duration_s == stage9.duration_s

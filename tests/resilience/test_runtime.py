@@ -1,21 +1,22 @@
-"""Tests for the marker-activated resilience runtime."""
+"""Tests for the resilience runtime and its run-handle lookup."""
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 
 from repro.core.artifacts import Workspace
+from repro.core.recording import RunHandle, bound
 from repro.errors import HeaderError, TransientToolError
 from repro.resilience.faults import FaultPlan, FaultSpec, WorkerCrashError
 from repro.resilience.quarantine import CRASH, EXHAUSTED, FORMAT, FailureReport
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.runtime import (
-    PLAN_FILE,
     QUARANTINE_FILE,
-    active_runtime,
+    current_runtime,
     disable_resilience,
     enable_resilience,
-    runtime_for,
     surviving_entries,
     surviving_stations,
 )
@@ -30,29 +31,42 @@ def workspace(tmp_path):
 def runtime(workspace):
     plan = FaultPlan(seed=1, policy=RetryPolicy(max_attempts=3, base_delay_s=0.0))
     rt = enable_resilience(workspace.root, plan)
-    yield rt
+    with bound(RunHandle(str(workspace.root), faults=rt)):
+        yield rt
     disable_resilience(workspace.root)
 
 
 class TestActivation:
-    def test_enable_writes_marker_and_registers(self, workspace):
+    def test_enable_makes_an_owning_runtime(self, workspace):
         plan = FaultPlan(seed=7)
         rt = enable_resilience(workspace.root, plan)
         try:
-            assert (rt.marker_dir / PLAN_FILE).exists()
-            assert active_runtime(workspace.root) is rt
-            assert FaultPlan.load(rt.marker_dir / PLAN_FILE) == plan
+            # The directory holds the quarantine only; no plan file.
+            assert rt.marker_dir.is_dir()
+            assert list(rt.marker_dir.iterdir()) == []
+            assert rt.plan == plan
+            with bound(RunHandle(str(workspace.root), faults=rt)):
+                assert current_runtime() is rt
+            assert current_runtime() is None
         finally:
             disable_resilience(workspace.root)
-        assert active_runtime(workspace.root) is None
         assert not rt.marker_dir.exists()
 
-    def test_runtime_for_finds_by_subpath(self, runtime, workspace):
-        assert runtime_for(workspace.work_dir) is runtime
-        assert runtime_for(workspace.work_dir / "ST01l.v1") is runtime
+    def test_worker_copy_carries_the_plan_only(self, runtime, workspace):
+        copy = pickle.loads(pickle.dumps(RunHandle(str(workspace.root), faults=runtime))).faults
+        assert copy is not runtime
+        assert (copy.root, copy.plan) == (runtime.root, runtime.plan)
+        runtime.quarantine_reports([
+            FailureReport(record="ST02", process="P4", kind=FORMAT,
+                          error="HeaderError", attempts=1)
+        ])
+        # Not the owner: it reads the quarantine the driver persisted.
+        assert "ST02" in copy.live_quarantine()
 
-    def test_runtime_for_none_when_inactive(self, tmp_path):
-        assert runtime_for(tmp_path / "nowhere") is None
+    def test_current_runtime_none_outside_a_run(self, workspace):
+        assert current_runtime() is None
+        with bound(RunHandle(str(workspace.root), audit=True, events=True)):
+            assert current_runtime() is None
 
 
 class TestRunRecord:
@@ -191,28 +205,33 @@ class TestQuarantine:
                                error="HeaderError", attempts=1)
         runtime.quarantine_reports([report])
         assert runtime.surviving(["ST01", "ST02", "ST03"]) == ["ST01", "ST03"]
-        assert surviving_stations(workspace, ["ST01", "ST02"]) == ["ST01"]
+        assert surviving_stations(["ST01", "ST02"]) == ["ST01"]
         entries = [("ST01", "a"), ("ST02", "b")]
-        assert surviving_entries(workspace, entries) == [("ST01", "a")]
+        assert surviving_entries(entries) == [("ST01", "a")]
 
     def test_pool_worker_sees_later_quarantine(self, runtime, workspace):
-        """A worker forked before a station is quarantined (a run-long
+        """A worker started before a station is quarantined (a run-long
         pool) must not list that station when it builds a work list."""
-        from repro.parallel.omp import shared_executor
+        from repro.parallel.omp import TaskGroup, shared_executor
 
         entries = [("ST01", "a"), ("ST02", "b")]
         with shared_executor("process", num_workers=2) as pool:
-            # Fork the workers while the quarantine is still empty.
-            assert pool.submit(surviving_entries, workspace, entries).result() == entries
+
+            def in_worker(func, *args):
+                # A task's window carries the bound handle to the worker.
+                with TaskGroup(backend="process", executor=pool) as tg:
+                    tg.task(func, *args)
+                return tg.results[0]
+
+            # Start the workers while the quarantine is still empty.
+            assert in_worker(surviving_entries, entries) == entries
             runtime.quarantine_reports([
                 FailureReport(record="ST02", process="P4", kind=FORMAT,
                               error="HeaderError", attempts=1)
             ])
-            seen = [pool.submit(surviving_entries, workspace, entries) for _ in range(4)]
-            assert [f.result() for f in seen] == [[("ST01", "a")]] * 4
-            assert pool.submit(surviving_stations, workspace, ["ST01", "ST02"]).result() == [
-                "ST01"
-            ]
+            seen = [in_worker(surviving_entries, entries) for _ in range(4)]
+            assert seen == [[("ST01", "a")]] * 4
+            assert in_worker(surviving_stations, ["ST01", "ST02"]) == ["ST01"]
 
     def test_enable_clears_stale_quarantine_file(self, workspace):
         marker = workspace.root / "resilience"
@@ -226,10 +245,9 @@ class TestQuarantine:
         finally:
             disable_resilience(workspace.root)
 
-    def test_surviving_is_identity_when_inactive(self, tmp_path):
-        ws = Workspace(tmp_path / "plain").create()
+    def test_surviving_is_identity_when_inactive(self):
         stations = ["ST01", "ST02"]
-        assert surviving_stations(ws, stations) == stations
+        assert surviving_stations(stations) == stations
 
 
 class TestIsolationFactory:

@@ -76,6 +76,14 @@ class TestConfig:
         with pytest.raises(SignalError):
             ResponseSpectrumConfig(dampings=(0.05, np.nan))
 
+    def test_frequency_domain_rejects_zero_damping(self):
+        # The undamped transfer function divides by zero at the
+        # oscillator frequency; the default grid includes zeta = 0.
+        with pytest.raises(SignalError, match="above 0"):
+            ResponseSpectrumConfig(periods=default_periods(100), method="frequency_domain")
+        config = ResponseSpectrumConfig(method="frequency_domain", dampings=(0.02, 0.05))
+        assert config.dampings == (0.02, 0.05)
+
 
 class TestSdofCoefficients:
     def test_matrix_exponential_identity_at_zero_dt(self):
