@@ -6,7 +6,7 @@ worker.  Each measurement imports ``repro`` in a fresh interpreter and
 reports the import's wall time, the number of modules loaded and the
 interpreter's peak RSS, read from ``RUSAGE_CHILDREN`` by a launcher
 whose only child it is.  As a plain test (``--benchmark-disable``) it
-asserts that ``scipy.signal`` stays out.
+asserts that ``scipy.signal``, ``networkx`` and ``sqlite3`` stay out.
 
 Run standalone for a few repeats::
 
@@ -31,7 +31,8 @@ _CHILD = (
     "start = time.perf_counter()\n"
     "import repro\n"
     "print(json.dumps({'import_s': time.perf_counter() - start,"
-    " 'modules': len(sys.modules), 'scipy_signal': 'scipy.signal' in sys.modules}))\n"
+    " 'modules': len(sys.modules), 'scipy_signal': 'scipy.signal' in sys.modules,"
+    " 'networkx': 'networkx' in sys.modules, 'sqlite3': 'sqlite3' in sys.modules}))\n"
 )
 
 #: Runs ``_CHILD`` as its only child, so the peak RSS of its children
@@ -47,8 +48,9 @@ _LAUNCHER = (
 
 
 def fresh_import() -> dict:
-    """``import_s``, ``modules``, ``scipy_signal`` and ``maxrss_mb`` of
-    one fresh interpreter's ``import repro``."""
+    """``import_s``, ``modules``, ``maxrss_mb`` and whether ``scipy_signal``,
+    ``networkx`` and ``sqlite3`` were loaded, for one fresh interpreter's
+    ``import repro``."""
     src = str(Path(repro.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
@@ -61,7 +63,8 @@ def fresh_import() -> dict:
 
 def test_bench_fresh_import(benchmark):
     footprint = benchmark(fresh_import)
-    assert not footprint["scipy_signal"], "import repro loaded scipy.signal"
+    loaded = [key for key in ("scipy_signal", "networkx", "sqlite3") if footprint[key]]
+    assert not loaded, f"import repro loaded {loaded}"
     assert footprint["modules"] > 0 and footprint["maxrss_mb"] > 0
 
 

@@ -12,7 +12,7 @@ processing pipeline and its four implementations.
 - :mod:`repro.core.registry`     — process metadata (language, cost tag,
   declared reads/writes).
 - :mod:`repro.core.dependencies` — the input/output dependency analysis
-  (networkx DAG, stage-plan validation, antichain discovery).
+  (a small in-house DAG, stage-plan validation, antichain discovery).
 - :mod:`repro.core.stages`       — the 11-stage reordering of Fig. 9.
 - :mod:`repro.core.tempfolders`  — temp-folder staging used to run
   un-modifiable tools concurrently (stages IV, V, VIII).

@@ -4,8 +4,11 @@ Builds, from the registry's versioned read/write declarations, the
 directed dependency graph over any subset of processes and offers the
 validations and discovery tools the paper's reordering relied on:
 
-- :func:`build_process_graph` — RAW, WAR and WAW edges as a networkx
-  ``DiGraph`` (edge attribute ``kind``);
+- :class:`Dag` — the small directed acyclic graph both this module and
+  :mod:`repro.engine.graph` build: nodes and successors in insertion
+  order, edge data dicts, topological generations with a cycle check;
+- :func:`build_process_graph` — RAW, WAR and WAW edges as a :class:`Dag`
+  (edge attribute ``kind``);
 - :func:`validate_sequential_order` — check a linear order (the
   original 0..19 numbering, the optimized 17-process order);
 - :func:`parallelizable_sets` — the antichain layering (graph
@@ -16,11 +19,97 @@ validations and discovery tools the paper's reordering relied on:
 from __future__ import annotations
 
 from collections import defaultdict
-
-import networkx as nx
+from collections.abc import Hashable
+from typing import Any
 
 from repro.core.registry import LATEST, PROCESSES, ProcessSpec
 from repro.errors import DependencyError, StageOrderError
+
+
+class Dag:
+    """A directed graph that must stay acyclic, small enough to read.
+
+    Nodes, and each node's successors, keep insertion order, so every
+    view below is deterministic.  :attr:`edges` maps ``(a, b)`` to the
+    edge's data dict, ordered by source and then by target.  The graphs
+    built here have at most a few dozen nodes, so views are built on
+    each access rather than cached.
+    """
+
+    def __init__(self, name: str = "graph") -> None:
+        #: Names the graph in the cycle error (``"process graph"``).
+        self.name = name
+        self._succ: dict[Hashable, dict[Hashable, dict[str, Any]]] = {}
+        self._pred: dict[Hashable, dict[Hashable, None]] = {}
+
+    def add_node(self, node: Hashable) -> None:
+        if node not in self._succ:
+            self._succ[node] = {}
+            self._pred[node] = {}
+
+    def add_edge(self, a: Hashable, b: Hashable, **data: Any) -> None:
+        """Add ``a -> b`` (and any missing end); re-adding updates its data."""
+        self.add_node(a)
+        self.add_node(b)
+        self._succ[a].setdefault(b, {}).update(data)
+        self._pred[b][a] = None
+
+    def has_edge(self, a: Hashable, b: Hashable) -> bool:
+        return a in self._succ and b in self._succ[a]
+
+    def predecessors(self, node: Hashable) -> tuple[Hashable, ...]:
+        return tuple(self._pred[node])
+
+    @property
+    def nodes(self) -> tuple[Hashable, ...]:
+        return tuple(self._succ)
+
+    def number_of_nodes(self) -> int:
+        return len(self._succ)
+
+    @property
+    def edges(self) -> dict[tuple[Hashable, Hashable], dict[str, Any]]:
+        return {
+            (a, b): data for a, succ in self._succ.items() for b, data in succ.items()
+        }
+
+    def generations(self) -> list[list[Hashable]]:
+        """Topological generations (Kahn): layer k holds the nodes whose
+        longest chain of predecessors has k edges.
+
+        Raises :class:`DependencyError` naming one cycle if there is one.
+        """
+        indegree = {node: len(preds) for node, preds in self._pred.items()}
+        layer = [node for node, degree in indegree.items() if degree == 0]
+        layers = []
+        while layer:
+            layers.append(layer)
+            following = []
+            for node in layer:
+                for child in self._succ[node]:
+                    indegree[child] -= 1
+                    if indegree[child] == 0:
+                        following.append(child)
+            layer = following
+        if sum(map(len, layers)) < len(indegree):
+            raise DependencyError(f"{self.name} has a cycle: {self._cycle(indegree)}")
+        return layers
+
+    def _cycle(self, indegree: dict[Hashable, int]) -> list[tuple[Hashable, Hashable]]:
+        """Edges of one cycle among the nodes Kahn could not layer.
+
+        Each such node keeps an unlayered predecessor, so walking back
+        through them must revisit a node; the revisited stretch is a cycle.
+        """
+        node = next(n for n, degree in indegree.items() if degree > 0)
+        path: list[Hashable] = []
+        seen: dict[Hashable, int] = {}
+        while node not in seen:
+            seen[node] = len(path)
+            path.append(node)
+            node = next(p for p in self._pred[node] if indegree[p] > 0)
+        cycle = path[seen[node]:][::-1]
+        return list(zip(cycle, cycle[1:] + cycle[:1]))
 
 
 def _resolve_reads(
@@ -59,7 +148,7 @@ def _resolve_reads(
     return resolved
 
 
-def build_process_graph(pids: list[int] | tuple[int, ...]) -> nx.DiGraph:
+def build_process_graph(pids: list[int] | tuple[int, ...]) -> Dag:
     """Dependency DAG over the given process subset.
 
     Nodes are pids; edges carry ``kind`` in {"raw", "war", "waw"} and
@@ -85,9 +174,9 @@ def build_process_graph(pids: list[int] | tuple[int, ...]) -> nx.DiGraph:
             writers[key] = spec.pid
             versions_present[ref.identity].append(ref.version)
 
-    graph = nx.DiGraph()
+    graph = Dag("process graph")
     for spec in specs:
-        graph.add_node(spec.pid, spec=spec)
+        graph.add_node(spec.pid)
 
     readers: dict[tuple[str, int], list[int]] = defaultdict(list)
     for spec in specs:
@@ -108,9 +197,7 @@ def build_process_graph(pids: list[int] | tuple[int, ...]) -> nx.DiGraph:
                 if reader != w_late:
                     graph.add_edge(reader, w_late, kind="war", artifact=identity)
 
-    if not nx.is_directed_acyclic_graph(graph):
-        cycle = nx.find_cycle(graph)
-        raise DependencyError(f"process graph has a cycle: {cycle}")
+    graph.generations()  # raises on a cycle
     return graph
 
 
@@ -136,5 +223,5 @@ def parallelizable_sets(pids: list[int] | tuple[int, ...]) -> list[list[int]]:
     11-stage reordering.
     """
     graph = build_process_graph(list(pids))
-    return [sorted(generation) for generation in nx.topological_generations(graph)]
+    return [sorted(generation) for generation in graph.generations()]
 

@@ -24,18 +24,24 @@ from repro.core.artifacts import Workspace
 from repro.errors import PipelineError
 
 
-def workspace_digests(workspace: Workspace) -> dict[str, str]:
-    """sha256 of every file under work/, keyed by relative path."""
+def _artifact_paths(workspace: Workspace) -> dict[str, Path]:
+    """Every file under work/, keyed by relative path, in sorted order."""
     work = workspace.work_dir
     if not work.is_dir():
         raise PipelineError(f"{workspace.root} has no work/ directory to verify")
-    digests: dict[str, str] = {}
-    for path in sorted(work.rglob("*")):
-        if path.is_file():
-            digests[path.relative_to(work).as_posix()] = hashlib.sha256(
-                path.read_bytes()
-            ).hexdigest()
-    return digests
+    return {
+        path.relative_to(work).as_posix(): path
+        for path in sorted(work.rglob("*"))
+        if path.is_file()
+    }
+
+
+def workspace_digests(workspace: Workspace) -> dict[str, str]:
+    """sha256 of every file under work/, keyed by relative path."""
+    return {
+        name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for name, path in _artifact_paths(workspace).items()
+    }
 
 
 @dataclass
@@ -80,7 +86,7 @@ def verify_inventory(
     if not stations:
         raise PipelineError(f"{workspace.root} has no inputs; nothing to verify against")
     expected = set(workspace.final_artifact_names(stations))
-    actual = set(workspace_digests(workspace))
+    actual = set(_artifact_paths(workspace))
     missing = sorted(expected - actual)
     unexpected = sorted(actual - expected)
     return VerificationReport(

@@ -21,9 +21,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-import networkx as nx
-
-from repro.core.dependencies import build_process_graph
+from repro.core.dependencies import Dag, build_process_graph
 from repro.core.registry import PROCESSES
 from repro.errors import DependencyError, StageOrderError, VerificationError
 
@@ -118,14 +116,12 @@ class TaskGraph:
     def __init__(self, tasks: Sequence[Task], edges: Iterable[tuple[str, str]]) -> None:
         self._tasks: dict[str, Task] = {t.name: t for t in tasks}
         self._order: tuple[str, ...] = tuple(t.name for t in tasks)
-        graph = nx.DiGraph()
+        graph = Dag("task graph")
         for task in tasks:
-            graph.add_node(task.name, task=task)
+            graph.add_node(task.name)
         for a, b in edges:
             graph.add_edge(a, b)
-        if not nx.is_directed_acyclic_graph(graph):
-            cycle = nx.find_cycle(graph)
-            raise DependencyError(f"task graph has a cycle: {cycle}")
+        self._generations = graph.generations()  # raises on a cycle
         self._graph = graph
 
     # -- introspection -----------------------------------------------------
@@ -158,7 +154,7 @@ class TaskGraph:
         return tuple(t.pid for t in self.tasks if t.pid is not None)
 
     def predecessors(self, name: str) -> tuple[str, ...]:
-        return tuple(self._graph.predecessors(name))
+        return self._graph.predecessors(name)
 
     # -- layering ----------------------------------------------------------
 
@@ -171,7 +167,7 @@ class TaskGraph:
         position = {name: i for i, name in enumerate(self._order)}
         return [
             [self._tasks[name] for name in sorted(generation, key=position.__getitem__)]
-            for generation in nx.topological_generations(self._graph)
+            for generation in self._generations
         ]
 
     def derive_regions(self, prefix: str = "G") -> list[Region]:

@@ -26,7 +26,9 @@ run events from an executing pipeline (tail with ``repro-top``),
 :mod:`repro.observability.ledger` keeps a persistent SQLite history of
 finished runs (``repro-ledger``), and
 :mod:`repro.observability.report_html` renders one self-contained HTML
-report per run (``repro-report``).
+report per run (``repro-report``).  Those three are tools, not run
+telemetry: import them from their modules, since the package leaves
+them (and ``sqlite3``) out of every pipeline process.
 """
 
 from repro.observability.tracer import Span, Trace, Tracer, maybe_span, worker_label
@@ -71,9 +73,6 @@ from repro.observability.events import (
     validate_events,
     write_events,
 )
-from repro.observability.ledger import RunLedger, run_entry
-from repro.observability.report_html import render_html_report, write_html_report
-from repro.observability.top import RunView, render_top
 
 __all__ = [
     "Span",
@@ -110,10 +109,4 @@ __all__ = [
     "read_events",
     "validate_events",
     "write_events",
-    "RunLedger",
-    "run_entry",
-    "RunView",
-    "render_top",
-    "render_html_report",
-    "write_html_report",
 ]

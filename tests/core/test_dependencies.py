@@ -3,13 +3,14 @@
 import pytest
 
 from repro.core.dependencies import (
+    Dag,
     build_process_graph,
     parallelizable_sets,
     validate_sequential_order,
 )
 from repro.core.registry import OPTIMIZED_ORDER, ORIGINAL_ORDER, REDUNDANT_PROCESSES
 from repro.core.stages import STAGES
-from repro.engine import Region, StagedPolicy
+from repro.engine import POLICIES, Region, StagedPolicy, policy_by_name
 from repro.errors import DependencyError, StageOrderError
 
 
@@ -128,3 +129,83 @@ class TestDiscovery:
         graph = build_process_graph(OPTIMIZED_ORDER)
         for a, b in graph.edges:
             assert level[a] < level[b]
+
+
+class TestDag:
+    def test_cycle_raises_dependency_error(self):
+        graph = Dag("toy graph")
+        graph.add_edge("a", "b")
+        graph.add_edge("b", "c")
+        graph.add_edge("c", "b")
+        with pytest.raises(DependencyError, match="toy graph has a cycle") as info:
+            graph.generations()
+        assert "('b', 'c')" in str(info.value) and "('c', 'b')" in str(info.value)
+        assert "'a'" not in str(info.value)
+
+    def test_readding_an_edge_updates_its_data(self):
+        graph = Dag()
+        graph.add_edge(1, 2, kind="raw", artifact="v2")
+        graph.add_edge(1, 2, kind="war")
+        assert graph.edges[1, 2] == {"kind": "war", "artifact": "v2"}
+        assert len(graph.edges) == 1 and graph.predecessors(2) == (1,)
+
+    def test_edges_iterate_by_source_then_target_insertion(self):
+        graph = Dag()
+        for node in (3, 1, 2):
+            graph.add_node(node)
+        graph.add_edge(2, 9)
+        graph.add_edge(1, 9)
+        graph.add_edge(3, 2)
+        graph.add_edge(1, 2)
+        assert list(graph.edges) == [(3, 2), (1, 9), (1, 2), (2, 9)]
+        assert graph.nodes == (3, 1, 2, 9) and graph.number_of_nodes() == 4
+        assert graph.predecessors(2) == (3, 1)
+        assert graph.generations() == [[3, 1], [2], [9]]
+        assert graph.has_edge(1, 9) and not graph.has_edge(9, 1)
+
+
+class TestPinnedLayering:
+    """The layerings the paper's reordering and every policy's plan rest on."""
+
+    def test_original_order_layers(self):
+        assert parallelizable_sets(ORIGINAL_ORDER) == [
+            [0, 1, 2, 11], [3, 5, 8, 17], [4], [6, 7, 12],
+            [9, 10, 14], [13], [15, 16], [18, 19],
+        ]
+
+    def test_optimized_order_layers(self):
+        assert parallelizable_sets(OPTIMIZED_ORDER) == [
+            [0, 1, 2, 11], [3, 5, 8, 17], [4], [7],
+            [9, 10], [13], [15, 16], [18, 19],
+        ]
+
+    SEQ_ORIGINAL = [[f"P{pid}"] for pid in ORIGINAL_ORDER]
+    SEQ_OPTIMIZED = [[f"P{pid}"] for pid in OPTIMIZED_ORDER]
+    STAGED = [
+        ["P0", "P1"], ["P2", "P5", "P8", "P17"], ["P3"], ["P4"], ["P7"], ["P10"],
+        ["P11"], ["P13"], ["P16"], ["P19"], ["P9", "P15", "P18"],
+    ]
+    REGION_TASKS = {
+        "seq-original": SEQ_ORIGINAL,
+        "seq-optimized": SEQ_OPTIMIZED,
+        "incremental": SEQ_OPTIMIZED,
+        "partial-parallel": STAGED,
+        "full-parallel": STAGED,
+        "full-parallel-fused": [
+            ["P0", "P1"], ["P2", "P5", "P8", "P17", "P3"], ["P4"], ["P7"],
+            ["P10", "P11"], ["P13"], ["P16"], ["P19", "P9", "P15", "P18"],
+        ],
+        "dag-parallel": [
+            ["P0", "P1", "P2", "P11"], ["P3", "P5", "P8", "P17"], ["P4"], ["P7"],
+            ["P9", "P10"], ["P13"], ["P15", "P16"], ["P18", "P19"],
+        ],
+        "wavefront-parallel": [["prologue"], ["wavefront"], ["epilogue"]],
+    }
+
+    def test_every_policy_is_pinned(self):
+        assert set(self.REGION_TASKS) == set(POLICIES)
+
+    @pytest.mark.parametrize("name", sorted(REGION_TASKS))
+    def test_policy_region_tasks(self, name):
+        _, regions = policy_by_name(name).plan()
+        assert [[t.name for t in r.tasks] for r in regions] == self.REGION_TASKS[name]

@@ -48,6 +48,29 @@ class TestVerifyInventory:
         assert not report.ok
         assert "stray.tmp" in report.unexpected
 
+    def test_inventory_lists_names_without_reading_artifacts(
+        self, completed_run, tmp_path, monkeypatch
+    ):
+        import shutil
+        from pathlib import Path
+
+        clone = tmp_path / "clone"
+        shutil.copytree(completed_run.workspace.root, clone)
+        ws = Workspace(clone)
+        next(ws.work_dir.glob("*.r")).unlink()
+        (ws.work_dir / "stray.tmp").write_text("x")
+        before = verify_inventory(ws)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_inventory read or hashed an artifact")
+
+        monkeypatch.setattr("repro.core.verify.hashlib.sha256", refuse)
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        after = verify_inventory(ws)
+        assert after.missing == before.missing and len(after.missing) == 1
+        assert after.unexpected == before.unexpected == ["stray.tmp"]
+        assert after.checked == before.checked and not after.ok
+
     def test_render_shapes(self):
         ok = VerificationReport(ok=True, checked=10)
         assert "OK" in ok.render()
